@@ -60,7 +60,7 @@ type GroupConfig struct {
 	// endpoints (empty admits any peer).
 	Members []string
 	// Float32 opts the group's replication traffic into packed-float32
-	// model blobs toward capable replicas (see WithFloat32Payloads).
+	// model blobs (see WithFloat32Payloads).
 	Float32 bool
 	// Quota rate-limits the group's ingest (zero: unlimited).
 	Quota Quota
@@ -77,9 +77,8 @@ type GroupConfig struct {
 // Admin drives the admin control plane of one live mining service:
 // registering, evicting, updating and listing serving groups at runtime.
 // The token must match the service's WithAdminToken; wrong or missing
-// tokens answer ErrAdminDenied, and a pre-v8 service answers a typed wire-
-// version rejection instead of hanging. Safe for concurrent use; Close
-// releases the underlying connection demultiplexer.
+// tokens answer ErrAdminDenied. Safe for concurrent use; Close releases the
+// underlying connection demultiplexer.
 type Admin struct {
 	inner *protocol.AdminClient
 }

@@ -311,7 +311,7 @@ func BenchmarkSVMTrainRBF(b *testing.B) {
 	}
 }
 
-func BenchmarkKNNPredictKDTree(b *testing.B) {
+func BenchmarkKNNPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	d, _ := dataset.GenerateByName("Shuttle", rng)
 	norm, _, _ := dataset.Normalize(d)

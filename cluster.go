@@ -205,7 +205,7 @@ func NewClusterClient(conn Conn, seeds []string, sessions ...*Session) (*Cluster
 	targets := make(map[string]*Perturbation, len(sessions))
 	var sink MetricsSink
 	var downFor time.Duration
-	var compress, float32Payloads bool
+	var float32Payloads bool
 	for i, s := range sessions {
 		if s == nil {
 			return nil, fmt.Errorf("%w: session %d is nil", ErrBadInput, i)
@@ -224,15 +224,13 @@ func NewClusterClient(conn Conn, seeds []string, sessions ...*Session) (*Cluster
 		if downFor == 0 {
 			downFor = s.cfg.downFor
 		}
-		// Wire-format options are per client connection, so any session
-		// carrying them switches the shared client on (negotiation still
-		// protects non-advertising nodes).
-		compress = compress || s.cfg.compress
+		// The wire format is per client connection, so any session carrying
+		// float32 payloads switches the shared client on.
 		float32Payloads = float32Payloads || s.cfg.float32Payloads
 	}
 	inner, err := cluster.NewClient(cluster.ClientConfig{
 		Conn: conn, Seeds: seeds, Metrics: sink, DownFor: downFor,
-		Compress: compress, Float32: float32Payloads})
+		Float32: float32Payloads})
 	if err != nil {
 		return nil, err
 	}

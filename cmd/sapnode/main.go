@@ -117,8 +117,7 @@ func run(args []string) error {
 		failGrace   = fs.Duration("failover-grace", 0, "leader silence tolerated before a group's next-ranked replica assumes leadership (miner with -cluster; 0 selects the default, <0 disables failover)")
 		antiEntropy = fs.Duration("anti-entropy", 0, "cluster durability-gossip cadence: sync handshakes, anti-entropy re-pushes and failover detection (miner with -cluster; 0 selects the default, <0 disables)")
 		metricsAddr = fs.String("metrics-addr", "", "serve operational metrics over HTTP on this address: GET /metrics returns the JSON snapshot, GET /healthz liveness (empty disables)")
-		compress    = fs.Bool("compress", false, "negotiate DEFLATE-compressed service frames with capable peers (both ends must carry the flag; v6 peers keep classic frames)")
-		f32         = fs.Bool("f32", false, "pack record payloads (queries, stream chunks, replicated models) as float32, halving wire bytes at ~7 significant digits of precision; negotiated like -compress")
+		f32         = fs.Bool("f32", false, "pack record payloads (queries, stream chunks, replicated models) as float32, halving wire bytes at ~7 significant digits of precision; every peer decodes both widths")
 		adminCmd    = fs.String("admin", "", "run one admin call against a live mining service instead of a role: register, evict or list (needs -miner and -admin-token; register reads -group, -data, -model and the serving knobs; evict reads -group)")
 		adminToken  = fs.String("admin-token", "", "admin control-plane token: a serving miner arms its admin interface with it, -admin calls authenticate with it (empty leaves the admin plane disabled)")
 		quotaRate   = fs.Float64("quota", 0, "per-group ingest quota in records per second for -admin register (0: unlimited)")
@@ -182,9 +181,8 @@ func run(args []string) error {
 	}
 
 	// One wire-option set covers every role: the client side stamps it on
-	// protocol clients, the miner side turns it into the service's
-	// advertised capabilities.
-	wire := protocol.WireOptions{Compress: *compress, Float32: *f32}
+	// protocol clients, the miner side on its groups' replicated models.
+	wire := protocol.WireOptions{Float32: *f32}
 
 	if *viewsFlag != "" && *role != "miner" {
 		return fmt.Errorf("-views is a miner serving flag (got -role %q)", *role)
@@ -354,7 +352,7 @@ func serveService(conn *serviceStash, res *protocol.MinerResult, modelName, grou
 	conn.beginServe()
 	svc, err := protocol.NewGroupedMiningService(conn,
 		[]protocol.GroupSpec{spec},
-		protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, Compression: wire.Compress, AdminToken: adminToken})
+		protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, AdminToken: adminToken})
 	if err != nil {
 		return err
 	}
@@ -529,7 +527,7 @@ func serveGroups(conn transport.Conn, spec, modelName string, views []viewDef, w
 		reportViewPrivacy(groups[i])
 	}
 	svc, err := protocol.NewGroupedMiningService(conn, groups,
-		protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, Compression: wire.Compress, AdminToken: adminToken})
+		protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, AdminToken: adminToken})
 	if err != nil {
 		return err
 	}
@@ -583,7 +581,7 @@ func serveCluster(node *transport.TCPNode, name, clusterSpec string, replicas in
 	}
 	n, err := cluster.NewNode(cluster.NodeConfig{
 		Name: name, Conn: node, Table: table, Groups: groups,
-		Service:          protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, Compression: wire.Compress, AdminToken: adminToken},
+		Service:          protocol.ServiceConfig{Workers: workers, MaxBatch: maxBatch, RefitEvery: refitEvery, Metrics: sink, AdminToken: adminToken},
 		FailoverGrace:    failGrace,
 		AntiEntropyEvery: antiEntropy})
 	if err != nil {

@@ -64,13 +64,13 @@
 //     and drift re-derivations — exportable as a JSON snapshot
 //     (Metrics.Snapshot, or over HTTP via sapnode -metrics-addr, which
 //     also answers /healthz liveness probes).
-//   - Negotiated wire formats: WithCompression DEFLATE-compresses service
-//     frames and WithFloat32Payloads halves record payloads (float32
-//     packing, ~7 significant digits — far inside the perturbation noise
-//     floor), each engaging per peer only after that peer advertises the
-//     capability in band, so mixed-version fleets keep exchanging classic
-//     frames with zero errors. Encode buffers and flate coders are pooled,
-//     keeping the frame hot path allocation-free.
+//   - One service wire version: every node runs the same binary, so a
+//     frame carries a single version byte and no capability negotiation;
+//     a frame stamped with any other version is refused, typed.
+//     WithFloat32Payloads halves record payloads (float32 packing, ~7
+//     significant digits — far inside the perturbation noise floor) from
+//     the first frame, since every peer decodes both widths. Encode buffers
+//     are pooled.
 //   - Risk accounting: the paper's Eq. 1 and Eq. 2 plus the party-count
 //     bounds behind its Figure 4.
 //

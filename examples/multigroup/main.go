@@ -2,7 +2,7 @@
 // independent consortia — hospitals pooling Diabetes records and vintners
 // pooling Wine assays — each run their own SAP session, ending with their
 // own target space and unified training set. A single mining service hosts
-// both as model shards (sap.ServeGroups): wire v4 frames carry a group ID,
+// both as model shards (sap.ServeGroups): wire frames carry a group ID,
 // the router maps each query to its group's model, and member lists stop
 // one consortium's clients from probing the other's model. This is the
 // many-contract deployment: the service provider sells mining to any number

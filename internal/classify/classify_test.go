@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -104,10 +105,10 @@ func TestCloneReturnsFreshConfiguredInstance(t *testing.T) {
 		}
 	}
 	// A KNN clone preserves its configuration.
-	knn := &KNN{K: 7, ForceBrute: true}
+	knn := &KNN{K: 7}
 	kc, ok := knn.Clone().(*KNN)
-	if !ok || kc.K != 7 || !kc.ForceBrute {
-		t.Fatalf("KNN clone = %+v, want K=7 ForceBrute", kc)
+	if !ok || kc.K != 7 {
+		t.Fatalf("KNN clone = %+v, want K=7", kc)
 	}
 }
 
@@ -126,41 +127,99 @@ func TestKNNAccuracyOnIris(t *testing.T) {
 	}
 }
 
-func TestKNNBruteMatchesKDTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d, err := dataset.GenerateByName("Diabetes", rng)
-	if err != nil {
-		t.Fatal(err)
+// sortAll is the reference KNN search: every training record sorted by
+// (squared distance, index).
+func sortAll(train *dataset.Dataset, x []float64) []neighbor {
+	nbrs := make([]neighbor, 0, train.Len())
+	for i, row := range train.X {
+		nbrs = append(nbrs, neighbor{index: i, dist2: euclidean2(x, row)})
 	}
-	norm, _, _ := dataset.Normalize(d)
-	train, test, err := norm.Split(rng, 0.2)
-	if err != nil {
-		t.Fatal(err)
+	sort.Slice(nbrs, func(a, b int) bool {
+		if nbrs[a].dist2 != nbrs[b].dist2 {
+			return nbrs[a].dist2 < nbrs[b].dist2
+		}
+		return nbrs[a].index < nbrs[b].index
+	})
+	return nbrs
+}
+
+// majority is the reference vote over the first k sorted neighbours, ties
+// to the smaller class.
+func majority(train *dataset.Dataset, sorted []neighbor, k int) int {
+	votes := make(map[int]int, k)
+	for _, nb := range sorted[:k] {
+		votes[train.Y[nb.index]]++
 	}
-	brute := NewKNN(7)
-	brute.ForceBrute = true
-	tree := NewKNN(7)
-	if err := brute.Fit(train); err != nil {
-		t.Fatal(err)
+	best, bestVotes := -1, -1
+	for class, v := range votes {
+		if v > bestVotes || (v == bestVotes && class < best) {
+			best, bestVotes = class, v
+		}
 	}
-	if err := tree.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if tree.tree == nil {
-		t.Fatal("kd-tree not built for a large training set")
-	}
-	for i := range test.X {
-		a, err := brute.Predict(test.X[i])
+	return best
+}
+
+// TestKNNScanMatchesSortAll checks the bounded top-k scan against the
+// sort-all reference on 1024 jittered queries around real records, for K on
+// and above the stack-buffer bound (an even K makes vote ties common), on
+// Diabetes and Shuttle — and on the binary Votes records, whose many equal
+// distances exercise the index tie-break.
+func TestKNNScanMatchesSortAll(t *testing.T) {
+	for _, name := range []string{"Diabetes", "Shuttle", "Votes"} {
+		rng := rand.New(rand.NewSource(2))
+		d, err := dataset.GenerateByName(name, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := tree.Predict(test.X[i])
+		norm, _, _ := dataset.Normalize(d)
+		train, test, err := norm.Split(rng, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Fatalf("record %d: brute=%d kdtree=%d", i, a, b)
+		var models []*KNN
+		for _, k := range []int{1, 4, 7, knnStackK + 3} {
+			knn := NewKNN(k)
+			if err := knn.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, knn)
 		}
+		for q := 0; q < 1024; q++ {
+			x := append([]float64(nil), test.X[q%test.Len()]...)
+			if name != "Votes" {
+				for j := range x {
+					x[j] += 0.05 * rng.NormFloat64()
+				}
+			}
+			sorted := sortAll(train, x)
+			for _, knn := range models {
+				got, err := knn.Predict(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := majority(train, sorted, knn.K); got != want {
+					t.Fatalf("%s K=%d query %d: scan=%d sort-all=%d", name, knn.K, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKNNPredictAllocatesNothing pins the scan's zero-allocation contract
+// for K within the stack buffer.
+func TestKNNPredictAllocatesNothing(t *testing.T) {
+	train, test := irisSplit(t, 3)
+	knn := NewKNN(5)
+	if err := knn.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := knn.Predict(test.X[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Predict allocates %.1f times per query, want 0", allocs)
 	}
 }
 

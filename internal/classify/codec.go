@@ -35,15 +35,13 @@ const (
 )
 
 // knnWire is the replication form of a fitted KNN: configuration plus the
-// training records. Decoding re-runs Fit, which deterministically rebuilds
-// the kd-tree (or keeps brute force), so the decoded instance searches the
-// same neighbours in the same order as the original.
+// training records. Decoding re-runs Fit on the same records in the same
+// order, so the decoded instance finds the same neighbours as the original.
 type knnWire struct {
-	K          int
-	ForceBrute bool
-	Name       string
-	X          [][]float64
-	Y          []int
+	K    int
+	Name string
+	X    [][]float64
+	Y    []int
 	// X32/Dim is the packed-float32 alternative to X (EncodeModelFloat32):
 	// little-endian float32 records, Dim features each, at under half X's
 	// gob footprint. Exactly one of X and X32 is populated.
@@ -110,8 +108,7 @@ func EncodeModel(c Classifier) ([]byte, error) {
 // The precision contract narrows accordingly: DecodeModel returns a model
 // whose state is the float32 rounding of the original's (~7 significant
 // digits), so predictions may differ on inputs near decision boundaries.
-// Only send these blobs to peers that advertised the float32 capability;
-// DecodeModel on any v7 peer handles both forms transparently.
+// DecodeModel handles both forms transparently.
 func EncodeModelFloat32(c Classifier) ([]byte, error) {
 	return encodeModel(c, true)
 }
@@ -125,7 +122,7 @@ func encodeModel(c Classifier, f32 bool) ([]byte, error) {
 			return nil, fmt.Errorf("%w: cannot encode an unfitted KNN", ErrNotFitted)
 		}
 		kind = modelKindKNN
-		w := knnWire{K: m.K, ForceBrute: m.ForceBrute, Name: m.train.Name, X: m.train.X, Y: m.train.Y}
+		w := knnWire{K: m.K, Name: m.train.Name, X: m.train.X, Y: m.train.Y}
 		if f32 {
 			if b, dim := matrix.PackFloat32Rows(w.X); dim > 0 {
 				w.X32, w.Dim, w.X = b, dim, nil
@@ -210,7 +207,7 @@ func DecodeModel(payload []byte) (Classifier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: knn training set: %v", ErrBadModelBlob, err)
 		}
-		knn := &KNN{K: w.K, ForceBrute: w.ForceBrute}
+		knn := &KNN{K: w.K}
 		if err := knn.Fit(train); err != nil {
 			return nil, fmt.Errorf("%w: knn refit: %v", ErrBadModelBlob, err)
 		}

@@ -9,8 +9,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// codecTrainSet builds a deterministic 3-class training set large enough to
-// push KNN onto its kd-tree path (>= kdTreeThreshold records).
+// codecTrainSet builds a deterministic 3-class training set of n records.
 func codecTrainSet(t *testing.T, n int) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -82,8 +81,8 @@ func roundTrip(t *testing.T, c Classifier) Classifier {
 // yield byte-identical predictions. Mirrors the PR 5 refit regression: every
 // classifier the serving layer can swap in must also be replicable.
 func TestModelCodecRoundTrip(t *testing.T) {
-	train := codecTrainSet(t, 120) // above kdTreeThreshold: exercises tree rebuild
-	small := codecTrainSet(t, 30)  // below: exercises the brute-force path
+	train := codecTrainSet(t, 120)
+	small := codecTrainSet(t, 30)
 	probes := codecProbes(200)
 
 	cases := []struct {
@@ -91,9 +90,9 @@ func TestModelCodecRoundTrip(t *testing.T) {
 		model Cloner
 		train *dataset.Dataset
 	}{
-		{"knn-kdtree", NewKNN(5), train},
+		{"knn-large", NewKNN(5), train},
 		{"knn-brute-small", NewKNN(3), small},
-		{"knn-force-brute", &KNN{K: 5, ForceBrute: true}, train},
+		{"knn-k-above-stack", NewKNN(knnStackK + 1), train},
 		{"svm-rbf-default", NewSVM(SVMConfig{}), small},
 		{"svm-linear", NewSVM(SVMConfig{Kernel: LinearKernel{}, C: 2, Seed: 9}), small},
 		{"svm-rbf-tuned", NewSVM(SVMConfig{Kernel: RBFKernel{Gamma: 0.7}, MaxIter: 50}), small},

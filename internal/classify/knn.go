@@ -2,23 +2,20 @@ package classify
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 )
 
 // KNN is a K-nearest-neighbours classifier with majority voting (ties break
-// to the smaller class index for determinism). Search uses a kd-tree when
-// the training set is large enough to amortize it and brute force otherwise;
-// both paths return identical results.
+// to the smaller class index for determinism). Search is one flat scan over
+// the row-major training matrix into a bounded top-k, which beats a kd-tree
+// at every dataset size the service hosts and allocates nothing per query.
 type KNN struct {
 	// K is the neighbourhood size (default 5).
 	K int
-	// ForceBrute disables the kd-tree (used by tests to cross-check).
-	ForceBrute bool
 
-	train *dataset.Dataset
-	tree  *kdTree
+	train *dataset.Dataset // rows alias flat
+	flat  []float64        // the training records row-major, Dim values each
 }
 
 // NewKNN returns an unfitted KNN classifier with the given K (0 selects the
@@ -32,12 +29,8 @@ func NewKNN(k int) *KNN {
 
 var _ Cloner = (*KNN)(nil)
 
-// Clone implements Cloner: a fresh unfitted KNN with the same K and search
-// strategy.
-func (k *KNN) Clone() Classifier { return &KNN{K: k.K, ForceBrute: k.ForceBrute} }
-
-// kdTreeThreshold is the training-set size above which the kd-tree is used.
-const kdTreeThreshold = 64
+// Clone implements Cloner: a fresh unfitted KNN with the same K.
+func (k *KNN) Clone() Classifier { return &KNN{K: k.K} }
 
 // Fit implements Classifier.
 func (k *KNN) Fit(d *dataset.Dataset) error {
@@ -47,200 +40,86 @@ func (k *KNN) Fit(d *dataset.Dataset) error {
 	if k.K > d.Len() {
 		return fmt.Errorf("%w: K=%d exceeds training size %d", ErrBadConfig, k.K, d.Len())
 	}
-	k.train = d.Clone()
-	k.tree = nil
-	if !k.ForceBrute && d.Len() >= kdTreeThreshold {
-		k.tree = buildKDTree(k.train)
+	// Copy the records into one row-major block; the training set's rows
+	// alias it, so the model holds each value once.
+	dim := d.Dim()
+	k.flat = make([]float64, 0, d.Len()*dim)
+	x := make([][]float64, d.Len())
+	for i, row := range d.X {
+		k.flat = append(k.flat, row...)
+		x[i] = k.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
+	k.train = &dataset.Dataset{Name: d.Name, FeatureNames: append([]string(nil), d.FeatureNames...),
+		X: x, Y: append([]int(nil), d.Y...)}
 	return nil
 }
+
+// neighbor is one candidate of the top-k: a training record index and its
+// squared distance to the query.
+type neighbor struct {
+	index int
+	dist2 float64
+}
+
+// knnStackK is the largest K whose top-k lives on the stack; larger K
+// allocates its buffer once per query.
+const knnStackK = 16
 
 // Predict implements Classifier.
 func (k *KNN) Predict(x []float64) (int, error) {
 	if k.train == nil {
 		return 0, ErrNotFitted
 	}
-	if len(x) != k.train.Dim() {
-		return 0, fmt.Errorf("%w: got %d features, want %d", ErrDimMismatch, len(x), k.train.Dim())
+	dim := k.train.Dim()
+	if len(x) != dim {
+		return 0, fmt.Errorf("%w: got %d features, want %d", ErrDimMismatch, len(x), dim)
 	}
-	var nbrs []neighbor
-	if k.tree != nil {
-		nbrs = k.tree.search(x, k.K)
-	} else {
-		nbrs = k.bruteSearch(x)
+	var buf [knnStackK]neighbor
+	top := buf[:0]
+	if k.K > knnStackK {
+		top = make([]neighbor, 0, k.K)
 	}
-	votes := make(map[int]int, k.K)
-	for _, nb := range nbrs {
-		votes[k.train.Y[nb.index]]++
+	// top stays sorted by (dist2, index). Records arrive in index order, so
+	// a candidate tying the current worst distance has the larger index and
+	// never displaces it.
+	for i, off := 0, 0; off < len(k.flat); i, off = i+1, off+dim {
+		d := euclidean2(x, k.flat[off:off+dim])
+		if len(top) == k.K {
+			if d >= top[k.K-1].dist2 {
+				continue
+			}
+			top = top[:k.K-1]
+		}
+		j := len(top)
+		top = append(top, neighbor{})
+		for ; j > 0 && top[j-1].dist2 > d; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = neighbor{index: i, dist2: d}
 	}
+	return k.vote(top), nil
+}
+
+// vote returns the majority class of the neighbours, ties to the smaller
+// class. K is small, so counting by rescanning beats a map.
+func (k *KNN) vote(top []neighbor) int {
 	best, bestVotes := -1, -1
-	for class, v := range votes {
-		if v > bestVotes || (v == bestVotes && class < best) {
-			best, bestVotes = class, v
+	for a, nb := range top {
+		class := k.train.Y[nb.index]
+		votes, seen := 0, false
+		for b, other := range top {
+			if k.train.Y[other.index] != class {
+				continue
+			}
+			if b < a {
+				seen = true // counted at its first occurrence
+				break
+			}
+			votes++
+		}
+		if !seen && (votes > bestVotes || (votes == bestVotes && class < best)) {
+			best, bestVotes = class, votes
 		}
 	}
-	return best, nil
-}
-
-type neighbor struct {
-	index int
-	dist2 float64
-}
-
-func (k *KNN) bruteSearch(x []float64) []neighbor {
-	nbrs := make([]neighbor, 0, k.train.Len())
-	for i, row := range k.train.X {
-		nbrs = append(nbrs, neighbor{index: i, dist2: euclidean2(x, row)})
-	}
-	sort.Slice(nbrs, func(a, b int) bool {
-		if nbrs[a].dist2 != nbrs[b].dist2 {
-			return nbrs[a].dist2 < nbrs[b].dist2
-		}
-		return nbrs[a].index < nbrs[b].index
-	})
-	return nbrs[:k.K]
-}
-
-// kdTree is a static kd-tree over the training records.
-type kdTree struct {
-	data  *dataset.Dataset
-	nodes []kdNode
-	root  int
-}
-
-type kdNode struct {
-	index       int // record index at this node
-	axis        int
-	left, right int // node indices, -1 for none
-}
-
-func buildKDTree(d *dataset.Dataset) *kdTree {
-	t := &kdTree{data: d, nodes: make([]kdNode, 0, d.Len())}
-	indices := make([]int, d.Len())
-	for i := range indices {
-		indices[i] = i
-	}
-	t.root = t.build(indices, 0)
-	return t
-}
-
-func (t *kdTree) build(indices []int, depth int) int {
-	if len(indices) == 0 {
-		return -1
-	}
-	axis := depth % t.data.Dim()
-	sort.Slice(indices, func(a, b int) bool {
-		va, vb := t.data.X[indices[a]][axis], t.data.X[indices[b]][axis]
-		if va != vb {
-			return va < vb
-		}
-		return indices[a] < indices[b]
-	})
-	mid := len(indices) / 2
-	nodeIdx := len(t.nodes)
-	t.nodes = append(t.nodes, kdNode{index: indices[mid], axis: axis, left: -1, right: -1})
-	left := append([]int(nil), indices[:mid]...)
-	right := append([]int(nil), indices[mid+1:]...)
-	l := t.build(left, depth+1)
-	r := t.build(right, depth+1)
-	t.nodes[nodeIdx].left = l
-	t.nodes[nodeIdx].right = r
-	return nodeIdx
-}
-
-// knnHeap is a bounded max-heap of the current k best neighbours.
-type knnHeap struct {
-	items []neighbor
-	cap   int
-}
-
-func (h *knnHeap) worst() float64 {
-	if len(h.items) < h.cap {
-		return -1 // not full: everything qualifies
-	}
-	return h.items[0].dist2
-}
-
-func (h *knnHeap) push(nb neighbor) {
-	if len(h.items) < h.cap {
-		h.items = append(h.items, nb)
-		h.up(len(h.items) - 1)
-		return
-	}
-	if nb.dist2 < h.items[0].dist2 ||
-		(nb.dist2 == h.items[0].dist2 && nb.index < h.items[0].index) {
-		h.items[0] = nb
-		h.down(0)
-	}
-}
-
-func (h *knnHeap) less(a, b int) bool {
-	// Max-heap by distance; on ties the larger index is "worse" so results
-	// match the brute-force order exactly.
-	if h.items[a].dist2 != h.items[b].dist2 {
-		return h.items[a].dist2 > h.items[b].dist2
-	}
-	return h.items[a].index > h.items[b].index
-}
-
-func (h *knnHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *knnHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h.less(l, largest) {
-			largest = l
-		}
-		if r < n && h.less(r, largest) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
-	}
-}
-
-func (t *kdTree) search(x []float64, k int) []neighbor {
-	h := &knnHeap{cap: k}
-	t.searchNode(t.root, x, h)
-	out := append([]neighbor(nil), h.items...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].dist2 != out[b].dist2 {
-			return out[a].dist2 < out[b].dist2
-		}
-		return out[a].index < out[b].index
-	})
-	return out
-}
-
-func (t *kdTree) searchNode(node int, x []float64, h *knnHeap) {
-	if node < 0 {
-		return
-	}
-	n := t.nodes[node]
-	point := t.data.X[n.index]
-	h.push(neighbor{index: n.index, dist2: euclidean2(x, point)})
-
-	diff := x[n.axis] - point[n.axis]
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = n.right, n.left
-	}
-	t.searchNode(near, x, h)
-	if worst := h.worst(); worst < 0 || diff*diff <= worst {
-		t.searchNode(far, x, h)
-	}
+	return best
 }

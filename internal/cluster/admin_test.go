@@ -1,6 +1,6 @@
 package cluster
 
-// Admin control plane on a live cluster: a group registered through the v8
+// Admin control plane on a live cluster: a group registered through the
 // admin frames must enter the node's routing table under an epoch-bumped row
 // and become discoverable — and servable — by cluster clients without any
 // restart; an evicted group's row retires with its shard.

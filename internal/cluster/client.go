@@ -45,12 +45,9 @@ type ClientConfig struct {
 	// AttemptTimeout overrides the per-node attempt bound (default
 	// DefaultAttemptTimeout; it never extends the caller's deadline).
 	AttemptTimeout time.Duration
-	// Compress asks nodes for DEFLATE-compressed frames; Float32 packs
-	// outgoing record batches as float32. Both are negotiated per node —
-	// nodes that never advertised the capability keep receiving classic
-	// frames (see protocol.WireOptions).
-	Compress bool
-	Float32  bool
+	// Float32 packs outgoing record batches as float32 (see
+	// protocol.WireOptions).
+	Float32 bool
 }
 
 // Client routes mining traffic across a cluster without a proxy hop: it
@@ -99,7 +96,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Backoff != (protocol.Backoff{}) {
 		sc.SetBackoff(cfg.Backoff)
 	}
-	sc.SetWireOptions(protocol.WireOptions{Compress: cfg.Compress, Float32: cfg.Float32})
+	sc.SetWireOptions(protocol.WireOptions{Float32: cfg.Float32})
 	m := cfg.Metrics
 	if m == nil {
 		m = metrics.Nop()

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -402,4 +404,102 @@ func TestRendezvousClusterEndToEnd(t *testing.T) {
 		t.Fatalf("Routes = %d entries, %v; want %d", len(entries), err, len(groups))
 	}
 
+}
+
+// syncSniffer records the model-sync frames a node sends, per destination.
+type syncSniffer struct {
+	transport.Conn
+	mu    sync.Mutex
+	syncs map[string][][]byte
+}
+
+func (c *syncSniffer) Send(ctx context.Context, to string, payload []byte) error {
+	if info, ok := protocol.InspectFrame(payload); ok && info.Kind == protocol.KindModelSync {
+		c.mu.Lock()
+		c.syncs[to] = append(c.syncs[to], append([]byte(nil), payload...))
+		c.mu.Unlock()
+	}
+	return c.Conn.Send(ctx, to, payload)
+}
+
+func (c *syncSniffer) sent(to string) [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]byte(nil), c.syncs[to]...)
+}
+
+// TestFloat32GroupReplicatesPackedBlobs checks a float32 group ships the
+// packed-float32 model blob to every replica, with no handshake first: the
+// first sync frame to each replica already carries the float32 encoding of
+// the leader's served model, never the float64 one.
+func TestFloat32GroupReplicatesPackedBlobs(t *testing.T) {
+	net := transport.NewMemNetwork()
+	table, err := NewStaticTable([]protocol.RouteEntry{
+		{Group: "g-a", Node: "n1", Replicas: []string{"n2", "n3"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []protocol.GroupSpec{{ID: "g-a", Unified: clusterLine(t, 4, 0),
+		Model: classify.NewKNN(1), Float32: true}}
+	raw, err := net.Endpoint("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sniff := &syncSniffer{Conn: raw, syncs: make(map[string][][]byte)}
+	leader, err := NewNode(NodeConfig{Name: "n1", Conn: sniff, Table: table, Groups: specs,
+		Service: protocol.ServiceConfig{RefitEvery: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := leader.Serve(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		_ = raw.Close()
+	})
+	regs := map[string]*metrics.Registry{"n2": metrics.NewRegistry(), "n3": metrics.NewRegistry()}
+	for name, reg := range regs {
+		startNode(t, net, name, table, specs, protocol.ServiceConfig{RefitEvery: 4, Metrics: reg})
+	}
+
+	cli := startClient(t, net, "cli", []string{"n1"}, nil)
+	if _, err := cli.Push(testCtx(t), "g-a", [][]float64{{0.1234567891}, {2.718281828}, {3.14159265}, {4.0000001}},
+		[]int{50, 51, 52, 53}); err != nil {
+		t.Fatal(err)
+	}
+	for name, reg := range regs {
+		waitFor(t, name+" model install", func() bool {
+			return counterOf(reg, "service.g-a.sync.installs") >= 1
+		})
+	}
+
+	views, err := leader.Service().GroupViewModels("g-a")
+	if err != nil || len(views) != 1 {
+		t.Fatalf("leader views = %v, %v", views, err)
+	}
+	packed, err := classify.EncodeModelFloat32(views[0].Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := classify.EncodeModel(views[0].Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replica := range []string{"n2", "n3"} {
+		frames := sniff.sent(replica)
+		if len(frames) == 0 {
+			t.Fatalf("no model-sync frame reached %s", replica)
+		}
+		if !bytes.Contains(frames[0], packed) || bytes.Contains(frames[0], wide) {
+			t.Fatalf("first sync frame to %s does not carry the float32 blob", replica)
+		}
+	}
 }

@@ -9,7 +9,7 @@
 // either static (operator-pinned) or rendezvous-hashed, so growing or
 // shrinking the node set only remaps the groups the changed node carried.
 //
-// The v6 durability gossip keeps a running cluster convergent through
+// The durability gossip keeps a running cluster convergent through
 // restarts, partitions and leader loss: reconnect handshakes floor a
 // restarted leader's sequence counter, anti-entropy re-pushes catch
 // lagging replicas up, and epoch-versioned table rows let the next-ranked

@@ -1,6 +1,6 @@
 package protocol
 
-// The v8 admin control plane: authenticated wire frames that register, evict
+// The admin control plane: authenticated wire frames that register, evict
 // and reconfigure serving groups on a live MiningService. The client half
 // (AdminClient) and the wire types it shares with the service live here; the
 // service-side execution (dynamic shard lifecycle) lives in registry.go.
@@ -105,7 +105,7 @@ type AdminGroupSpec struct {
 	// Members is the group's ACL (empty admits any peer).
 	Members []string
 	// Float32 marks the group's replication traffic for packed-float32
-	// model blobs toward capable replicas.
+	// model blobs.
 	Float32 bool
 	// Quota is the group's ingest rate limit (zero: unlimited).
 	Quota GroupQuota
@@ -253,10 +253,8 @@ func adminTokenOK(configured, presented string) bool {
 	return subtle.ConstantTimeCompare([]byte(configured), []byte(presented)) == 1
 }
 
-// AdminClient drives the v8 admin control plane of one mining service:
+// AdminClient drives the admin control plane of one mining service:
 // registering, evicting, updating and listing serving groups at runtime.
-// Admin frames always ride the classic frame layout, so a pre-v8 service
-// answers them with a typed ErrWireVersion instead of hanging the caller.
 // Safe for concurrent use; Close releases the underlying demultiplexer.
 type AdminClient struct {
 	inner *ServiceClient

@@ -1,6 +1,6 @@
 package protocol
 
-// Lifecycle tests for the v8 admin control plane: registering, evicting and
+// Lifecycle tests for the admin control plane: registering, evicting and
 // rate-limiting groups on a live service, with client traffic in flight. Run
 // with -race — the whole point of the shard lifecycle design is that admin
 // mutations and the serving path never touch shared state unsynchronized.

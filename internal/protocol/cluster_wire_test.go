@@ -1,6 +1,6 @@
 package protocol
 
-// Tests for the v5 cluster admin frames — routing-table discovery and
+// Tests for the cluster admin frames — routing-table discovery and
 // leader-to-replica model sync — plus the staleness gauge that rides along:
 // the protocol-level building blocks internal/cluster assembles into a
 // multi-node deployment.
@@ -173,13 +173,13 @@ func TestModelSyncInstall(t *testing.T) {
 	ctx := testCtx(t)
 
 	// Seq 1 from the leader: the served model becomes "always 7".
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 7), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	waitForLabel(t, ctx, client, []float64{0.5}, 7)
 
 	// Replayed seq 1 with a different model: ignored, model stays at 7.
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 8), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 1)
@@ -188,7 +188,7 @@ func TestModelSyncInstall(t *testing.T) {
 	}
 
 	// A peer that is not the sync source cannot install, whatever the seq.
-	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 0, 9, 0, encodeFittedKNN(t, 0.5, 9), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 0, 9, 0, encodeFittedKNN(t, 0.5, 9)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 2)
@@ -197,7 +197,7 @@ func TestModelSyncInstall(t *testing.T) {
 	}
 
 	// Seq 2 from the leader advances the model.
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 2, 0, encodeFittedKNN(t, 0.5, 8), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 2, 0, encodeFittedKNN(t, 0.5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitForLabel(t, ctx, client, []float64{0.5}, 8)
@@ -234,7 +234,7 @@ func TestModelSyncBadBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, []byte{0xFF, 0x00, 0x01}, FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, []byte{0xFF, 0x00, 0x01}); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 1)

@@ -7,15 +7,14 @@ import (
 )
 
 // FuzzDecodeFrame hardens service wire-frame decoding against arbitrary
-// payloads: real frames of every spoken version (v1–v6 classic and the
-// flagged v7 format with compressed and float32 bodies, cluster admin and
-// multi-level trust-view frames included), truncated and
-// bit-flipped frames, oversized version claims, and plain garbage. The
-// decoder must never panic and must keep its contract — a typed
-// ErrWireVersion outside the supported version range, nil/nil for
-// non-service payloads, and re-encodable frames on success.
+// payloads: current frames of every kind (float32-packed batches, cluster
+// admin and multi-level trust-view frames included), the same frames
+// stamped with every other version byte, truncated and bit-flipped frames,
+// and plain garbage. The decoder must never panic and must keep its
+// contract — a typed ErrWireVersion for any version but ServiceWireVersion,
+// nil/nil for non-service payloads, and re-encodable frames on success.
 func FuzzDecodeFrame(f *testing.F) {
-	// Corpus: real encoded frames, of each kind and era.
+	// Corpus: real encoded frames of each kind, restamped per version byte.
 	seed := func(w *serviceWire, version byte) []byte {
 		payload, err := encodeServiceWire(w)
 		if err != nil {
@@ -36,7 +35,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		Model: []byte{'C', 0xde, 0xad, 0xbe, 0xef}}
 	notLeader := &serviceWire{ID: 13, Kind: kindIngest, Group: "alpha", Response: true,
 		Code: codeNotLeader, Err: `group "alpha" is a read replica synced from "n1"`}
-	// The v8 admin control plane, request and response shapes.
+	// The admin control plane, request and response shapes.
 	adminRegister := &serviceWire{ID: 17, Kind: kindAdminRegister, Group: "gamma",
 		Token: "tok", Spec: &AdminGroupSpec{ID: "gamma", X: [][]float64{{0.5}}, Y: []int{1},
 			Model: []byte{'K', 0x01, 0x02}, Quota: GroupQuota{RecordsPerSec: 10, Burst: 20}}}
@@ -70,8 +69,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			}}}
 	unknownView := &serviceWire{ID: 23, Response: true,
 		Code: codeUnknownView, Err: `group "alpha" serves no view 9`}
-	flagged := func(w *serviceWire, o frameOpts) []byte {
-		payload, err := encodeServiceFrame(w, o)
+	packed := func(w *serviceWire) []byte {
+		payload, err := encodeServiceFrame(w, true)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -82,36 +81,34 @@ func FuzzDecodeFrame(f *testing.F) {
 		adminRegister, adminEvict, adminUpdate, adminList, adminBadToken,
 		adminDenied, adminInfos, quotaReject,
 		viewClassify, viewIngest, viewSync, viewRegister, unknownView} {
-		for _, version := range []byte{1, 2, 3, 4, serviceWireClassicVersion} {
+		f.Add(seed(w, ServiceWireVersion))
+		f.Add(packed(w))
+		// The retired versions 1–8 must be refused, never read.
+		for version := byte(1); version < ServiceWireVersion; version++ {
 			f.Add(seed(w, version))
 		}
-		// The flagged v7 format, in every body encoding it can negotiate.
-		f.Add(flagged(w, frameOpts{deflate: true}))
-		f.Add(flagged(w, frameOpts{f32: true}))
-		f.Add(flagged(w, frameOpts{deflate: true, f32: true}))
 	}
-	full := seed(classify, serviceWireClassicVersion)
-	f.Add(full[:2])                                                          // header only
-	f.Add(full[:len(full)/2])                                                // truncated mid-gob
-	f.Add(seed(classify, 0))                                                 // below the spoken range
-	f.Add(seed(classify, 99))                                                // far-future version
-	f.Add([]byte{})                                                          // empty
-	f.Add([]byte{serviceMagic})                                              // magic alone
-	f.Add([]byte("not a service frame"))                                     // foreign payload
-	f.Add(bytes.Repeat([]byte{serviceMagic, serviceWireClassicVersion}, 64)) // garbage gob body
-	compressed := flagged(classify, frameOpts{deflate: true, f32: true})
-	f.Add(compressed[:len(compressed)-3]) // torn deflate stream
+	// Every other version byte, on a frame whose body decodes.
+	for v := 0; v <= 0xFF; v++ {
+		if v != ServiceWireVersion {
+			f.Add(seed(classify, byte(v)))
+		}
+	}
+	full := seed(classify, ServiceWireVersion)
+	f.Add(full[:2])                                                   // header only
+	f.Add(full[:len(full)/2])                                         // truncated mid-gob
+	f.Add([]byte{})                                                   // empty
+	f.Add([]byte{serviceMagic})                                       // magic alone
+	f.Add([]byte("not a service frame"))                              // foreign payload
+	f.Add(bytes.Repeat([]byte{serviceMagic, ServiceWireVersion}, 64)) // garbage gob body
+	f32Frame := packed(classify)
+	f.Add(f32Frame[:len(f32Frame)-3]) // torn float32 batch
 	regFrame := seed(adminRegister, ServiceWireVersion)
-	f.Add(regFrame[:len(regFrame)/2])                            // truncated admin register
-	f.Add(regFrame[:len(regFrame)-1])                            // admin register missing a byte
-	f.Add(seed(adminEvict, serviceWireClassicVersion))           // admin kind on a pre-v8 version byte
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion})       // v7 header without flags
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion, 0xFF}) // unknown flag bits
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion, 0x01}) // deflate flag, empty body
+	f.Add(regFrame[:len(regFrame)/2]) // truncated admin register
+	f.Add(regFrame[:len(regFrame)-1]) // admin register missing a byte
 	viewFrame := seed(viewRegister, ServiceWireVersion)
-	f.Add(viewFrame[:len(viewFrame)/2])                  // truncated mid view list
-	f.Add(viewFrame[:len(viewFrame)-1])                  // view register missing a byte
-	f.Add(seed(viewClassify, serviceWireClassicVersion)) // view stamp on a pre-view version byte
+	f.Add(viewFrame[:len(viewFrame)/2]) // truncated mid view list
+	f.Add(viewFrame[:len(viewFrame)-1]) // view register missing a byte
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		w, err := decodeServiceWire(payload)
@@ -124,16 +121,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		version := payload[1]
-		supported := version >= serviceWireMinVersion && version <= ServiceWireVersion
+		if version != ServiceWireVersion {
+			// Any other version byte is refused, decodable body or not.
+			if !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("v%d answered (%+v, %v), want ErrWireVersion", version, w, err)
+			}
+			return
+		}
 		switch {
 		case err == nil:
-			// A clean decode must come from a spoken version, yield a
-			// frame, and survive a re-encode round trip.
+			// A clean decode must yield a frame that survives a re-encode
+			// round trip.
 			if w == nil {
 				t.Fatal("nil frame with nil error for a service payload")
-			}
-			if !supported {
-				t.Fatalf("v%d decoded without a version error", version)
 			}
 			reencoded, encErr := encodeServiceWire(w)
 			if encErr != nil {
@@ -150,13 +150,8 @@ func FuzzDecodeFrame(f *testing.F) {
 				len(w2.Routes) != len(w.Routes) || !bytes.Equal(w2.Model, w.Model) {
 				t.Fatalf("round trip changed the frame: %+v vs %+v", w, w2)
 			}
-		case errors.Is(err, ErrWireVersion):
-			// Version rejections only fire outside the spoken range.
-			if supported {
-				t.Fatalf("v%d rejected as a version mismatch: %v", version, err)
-			}
 		case errors.Is(err, ErrBadMessage):
-			// Undecodable body on a spoken version; nothing to check.
+			// Undecodable body on the current version; nothing to check.
 		default:
 			t.Fatalf("unexpected error class: %v", err)
 		}

@@ -195,9 +195,9 @@ func TestGroupedServiceMemberIsolation(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesRouteToDefaultGroup stamps pre-v4 versions on otherwise
-// well-formed frames and checks they are served by the default group — the
-// backward-compatibility contract of the v4 router.
+// TestLegacyFramesRouteToDefaultGroup sends current-version frames with an
+// empty Group and checks they are served by the default group — the
+// routing contract single-group clients rely on.
 func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 	net := transport.NewMemNetwork()
 	svcConn, _ := net.Endpoint("svc")
@@ -213,12 +213,14 @@ func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 	defer stop()
 	ctx := testCtx(t)
 
-	for _, version := range []byte{1, 2, 3} {
-		payload, err := encodeServiceWire(&serviceWire{ID: uint64(version), Batch: [][]float64{{0.0}}})
+	for id := uint64(1); id <= 3; id++ {
+		payload, err := encodeServiceWire(&serviceWire{ID: id, Batch: [][]float64{{0.0}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload[1] = version
+		if payload[1] != ServiceWireVersion {
+			t.Fatalf("frame stamped v%d, want v%d", payload[1], ServiceWireVersion)
+		}
 		if err := cliConn.Send(ctx, "svc", payload); err != nil {
 			t.Fatal(err)
 		}
@@ -228,13 +230,13 @@ func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 		}
 		resp, err := decodeServiceWire(env.Payload)
 		if err != nil || resp == nil {
-			t.Fatalf("v%d: decode response: %v", version, err)
+			t.Fatalf("ID %d: decode response: %v", id, err)
 		}
-		if resp.ID != uint64(version) || resp.Code != codeOK {
-			t.Fatalf("v%d: resp = %+v, want codeOK for ID %d", version, resp, version)
+		if resp.ID != id || resp.Code != codeOK {
+			t.Fatalf("ID %d: resp = %+v, want codeOK", id, resp)
 		}
 		if len(resp.Labels) != 1 || resp.Labels[0] != 0 {
-			t.Fatalf("v%d: labels = %v, want [0] (default group's model)", version, resp.Labels)
+			t.Fatalf("ID %d: labels = %v, want [0] (default group's model)", id, resp.Labels)
 		}
 	}
 }

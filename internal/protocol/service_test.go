@@ -369,8 +369,10 @@ func TestMiningServiceOversizedBatchMemHub(t *testing.T) {
 	}
 }
 
-// TestServiceWireVersionMismatch sends a frame claiming an unknown wire
-// version and expects a typed rejection rather than silence or a crash.
+// TestServiceWireVersionMismatch sends frames claiming a version other than
+// ServiceWireVersion — every retired byte 1–8 and a future one — and
+// expects a typed rejection echoing the request ID rather than silence, a
+// crash or a frame read under different rules.
 func TestServiceWireVersionMismatch(t *testing.T) {
 	net := transport.NewMemNetwork()
 	svcConn, _ := net.Endpoint("svc")
@@ -382,28 +384,31 @@ func TestServiceWireVersionMismatch(t *testing.T) {
 	stop := startService(t, svcConn, d, ServiceConfig{})
 	defer stop()
 
-	payload, err := encodeServiceWire(&serviceWire{ID: 9, Batch: [][]float64{{0.1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload[1] = 99 // future version
 	ctx := testCtx(t)
-	if err := cliConn.Send(ctx, "svc", payload); err != nil {
-		t.Fatal(err)
-	}
-	env, err := cliConn.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := decodeServiceWire(env.Payload)
-	if err != nil || resp == nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	if !resp.Response || resp.ID != 9 || resp.Code != codeWireVersion {
-		t.Fatalf("resp = %+v, want response to ID 9 with codeWireVersion", resp)
-	}
-	if _, err := decodeServiceResponse(resp, 1); !errors.Is(err, ErrWireVersion) {
-		t.Fatalf("mapped err = %v, want ErrWireVersion", err)
+	for _, version := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 99} {
+		id := 100 + uint64(version)
+		payload, err := encodeServiceWire(&serviceWire{ID: id, Batch: [][]float64{{0.1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[1] = version
+		if err := cliConn.Send(ctx, "svc", payload); err != nil {
+			t.Fatal(err)
+		}
+		env, err := cliConn.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeServiceWire(env.Payload)
+		if err != nil || resp == nil {
+			t.Fatalf("v%d: decode response: %v", version, err)
+		}
+		if !resp.Response || resp.ID != id || resp.Code != codeWireVersion {
+			t.Fatalf("v%d: resp = %+v, want response to ID %d with codeWireVersion", version, resp, id)
+		}
+		if _, err := decodeServiceResponse(resp, 1); !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("v%d: mapped err = %v, want ErrWireVersion", version, err)
+		}
 	}
 }
 
@@ -562,7 +567,7 @@ func TestServiceWireGarbageIgnored(t *testing.T) {
 	if err := cliConn.Send(ctx, "svc", []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cliConn.Send(ctx, "svc", []byte{serviceMagic, serviceWireFlaggedVersion, 0xff, 0x01}); err != nil {
+	if err := cliConn.Send(ctx, "svc", []byte{serviceMagic, ServiceWireVersion, 0xff, 0x01}); err != nil {
 		t.Fatal(err)
 	}
 	client, err := NewServiceClient(cliConn, "svc")

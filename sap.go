@@ -102,7 +102,7 @@ func OptimizePerturbation(d *Dataset, seed int64, opts ...Option) (*Perturbation
 	}
 	// Session-only options are rejected rather than silently ignored —
 	// WithSeed in particular would conflict with the seed parameter.
-	if len(cfg.parties) != 0 || cfg.seed != 0 || cfg.workers != 0 || cfg.maxBatch != 0 || cfg.refitEvery != 0 || cfg.group != "" || cfg.metrics != nil || len(cfg.clusterNodes) != 0 || cfg.clusterReplicas != 0 || cfg.downFor != 0 || cfg.failoverGrace != 0 || cfg.antiEntropyEvery != 0 || cfg.compress || cfg.float32Payloads || cfg.adminToken != "" || cfg.quotaRate != 0 || cfg.quotaBurst != 0 || len(cfg.views) != 0 {
+	if len(cfg.parties) != 0 || cfg.seed != 0 || cfg.workers != 0 || cfg.maxBatch != 0 || cfg.refitEvery != 0 || cfg.group != "" || cfg.metrics != nil || len(cfg.clusterNodes) != 0 || cfg.clusterReplicas != 0 || cfg.downFor != 0 || cfg.failoverGrace != 0 || cfg.antiEntropyEvery != 0 || cfg.float32Payloads || cfg.adminToken != "" || cfg.quotaRate != 0 || cfg.quotaBurst != 0 || len(cfg.views) != 0 {
 		return nil, 0, fmt.Errorf("%w: session option passed to OptimizePerturbation (use the seed parameter and optimizer options)", ErrBadInput)
 	}
 	opt := privacy.NewOptimizer(privacyOptimizerConfig(&cfg))

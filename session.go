@@ -85,7 +85,7 @@ var (
 )
 
 // DefaultGroupID is the serving group a session uses when WithGroupID is
-// not given, and the group legacy (pre-v4) wire frames route to.
+// not given, and the group frames without a group ID route to.
 const DefaultGroupID = protocol.DefaultGroup
 
 // NewMemNetwork returns an in-process network for single-process serving,
@@ -131,10 +131,8 @@ type config struct {
 	downFor          time.Duration
 	failoverGrace    time.Duration
 	antiEntropyEvery time.Duration
-	// compress/float32Payloads tune the session's wire format
-	// (WithCompression / WithFloat32Payloads). Both are capability-gated:
-	// a peer that never advertised them keeps receiving classic frames.
-	compress        bool
+	// float32Payloads packs the session's record payloads as float32
+	// (WithFloat32Payloads).
 	float32Payloads bool
 	// adminToken arms the served process's admin control plane
 	// (WithAdminToken); quotaRate/quotaBurst rate-limit this session's
@@ -276,27 +274,13 @@ func WithGroupID(id string) Option {
 	}
 }
 
-// WithCompression enables DEFLATE compression of this session's service
-// frames (classify batches, stream ingest, model replication). Compression
-// is negotiated per peer: both sides must carry the option, and the first
-// exchange with a peer that does not advertise it falls back to classic
-// uncompressed frames, so mixed-version deployments keep working. It rides
-// the serving session for the miner side and the querying session for the
-// client side.
-func WithCompression() Option {
-	return func(c *config) error {
-		c.compress = true
-		return nil
-	}
-}
-
 // WithFloat32Payloads halves this session's record payloads on the wire
 // (stream chunks, classify batches, replicated model blobs) by packing
 // features as float32 instead of float64. Precision narrows to ~7
-// significant digits — well inside the paper's perturbation noise floor —
-// and the mode is negotiated per peer exactly like WithCompression: peers
-// that never advertised it keep receiving float64 frames. On the serving
-// side it is per group, riding each group's own session.
+// significant digits — well inside the paper's perturbation noise floor.
+// Every peer decodes both widths, so the packed form is sent from the first
+// frame. On the serving side it is per group, riding each group's own
+// session.
 func WithFloat32Payloads() Option {
 	return func(c *config) error {
 		c.float32Payloads = true
@@ -616,8 +600,7 @@ func (s *Session) NewClient(conn Conn, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner.SetWireOptions(protocol.WireOptions{
-		Compress: s.cfg.compress, Float32: s.cfg.float32Payloads})
+	inner.SetWireOptions(protocol.WireOptions{Float32: s.cfg.float32Payloads})
 	if cfg.View < 0 {
 		return nil, fmt.Errorf("%w: negative trust view %d", ErrBadInput, cfg.View)
 	}

@@ -2,7 +2,7 @@ package sap
 
 // Multi-group serving: one miner process hosting several contract groups,
 // each a completed Session with its own target space, training set and
-// refit cadence. The protocol layer routes wire v4 frames by group ID;
+// refit cadence. The protocol layer routes wire frames by group ID;
 // clients created from a session automatically stamp the session's group.
 
 import (
@@ -165,16 +165,6 @@ func groupSpecs(groups []Group) ([]protocol.GroupSpec, protocol.ServiceConfig, e
 	for _, g := range groups {
 		if m := g.Session.cfg.metrics; m != nil {
 			cfg.Metrics = m
-			break
-		}
-	}
-	// Compression is likewise a property of the miner process (it gates
-	// what the service advertises and accepts), so any group's
-	// WithCompression turns it on service-wide; float32 payloads stay per
-	// group via each spec's Float32.
-	for _, g := range groups {
-		if g.Session.cfg.compress {
-			cfg.Compression = true
 			break
 		}
 	}
