@@ -1097,7 +1097,9 @@ func TestRefreshQueriesPoolConcurrently(t *testing.T) {
 	spec := []protocol.GroupSpec{
 		{ID: "g-a", Unified: clusterLine(t, 4, 0), Model: classify.NewKNN(1)}}
 	svc, err := protocol.NewGroupedMiningService(liveConn, spec, protocol.ServiceConfig{
-		Routes: []protocol.RouteEntry{{Group: "g-a", Node: "live"}}})
+		RoutesFunc: func() ([]protocol.RouteEntry, uint64) {
+			return []protocol.RouteEntry{{Group: "g-a", Node: "live"}}, 0
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -61,9 +59,10 @@ type NodeConfig struct {
 	// one group must land on this node.
 	Groups []protocol.GroupSpec
 	// Service carries the serving knobs (workers, batch caps, refit cadence,
-	// metrics) applied to the hosted groups. RoutesFunc is overwritten with
-	// the node's live table snapshot; OnModelSwap and OnSyncGossip are
-	// chained after the node's own hooks if set.
+	// metrics) applied to the hosted groups. RoutesFunc, OnSyncGossip,
+	// OnGroupRegistered and OnGroupEvicted are overwritten with the node's
+	// own hooks; OnModelSwap and OnModelSync, if set, are chained: each runs
+	// just before the node's own hook.
 	Service protocol.ServiceConfig
 	// AntiEntropyEvery is the durability-gossip cadence: leaders hello each
 	// replica of their replicated groups with (seq, epoch, coverage, row),
@@ -82,31 +81,91 @@ type NodeConfig struct {
 	FailoverGrace time.Duration
 }
 
-// pendingSync is one group's latest unreplicated fit: per trust view, the
-// classifier the refit just published (latest wins per view — a fresher
-// swap for the same view replaces an unsent one), plus the leader's ingest
-// count at publication, the coverage mark the lag gauge measures against.
-// Views use the wire convention of ServiceConfig.OnModelSwap: real levels
-// for explicit multi-view groups, 0 for a single-view group's sole implicit
-// view — the level is stamped on the sync frame verbatim, so single-view
-// groups keep their pre-view wire bytes.
-type pendingSync struct {
-	models   map[int]classify.Classifier
-	ingested int64
+// groupState is everything the node tracks for one hosted group, guarded by
+// Node.mu. The leader-side fields matter while row names this node as the
+// group's leader, contact while it names another node.
+type groupState struct {
+	// row is this node's routing row for the group, carrying its own epoch:
+	// failover adoption replaces individual rows.
+	row protocol.RouteEntry
+	// f32 is the group's float32 payload preference (GroupSpec.Float32): its
+	// model syncs ship packed-float32 blobs.
+	f32 bool
+	// seq and covered are the leader's sequence counter and the highest
+	// ingest count any published or replica-installed model covers.
+	seq     uint64
+	covered int64
+	// modelSeq/modelCov are the sequence and coverage the group's currently
+	// served models actually correspond to — set when this node publishes a
+	// fit of its own, or floored at the installed sync state when a
+	// promotion makes a replica's models the group's serving ones. The seq
+	// counter alone is not enough: a restarted leader floors seq at its
+	// replicas' installed state while still serving its freshly constructed
+	// models, and a send of those under the floored sequence would
+	// overwrite a replica's trained models with untrained ones. Sends only
+	// ever carry the served models at modelSeq.
+	modelSeq uint64
+	modelCov int64
+	// floored records that a replica state confirmed the numbering; until
+	// then a dirty group waits for floorBy before it publishes unfloored.
+	floored bool
+	floorBy time.Time
+	// dirty marks a refit swap not yet published, and swapCov the leader's
+	// ingest count at that swap.
+	dirty   bool
+	swapCov int64
+	// owed holds the replicas whose state answers reported a sequence
+	// older than modelSeq: each is owed the served models by anti-entropy.
+	// A publish owes them to every replica.
+	owed map[string]bool
+	// lastSync records, per replica, when a model sync was last planned or
+	// sent there. A state answer claiming the replica is behind is ignored
+	// while a sync is this recent: gossip states are generated
+	// asynchronously, so one produced while a just-published model is still
+	// in flight (or queued behind the replica's ingest lane) reports the old
+	// sequence — re-pushing on that evidence just earns an idempotent
+	// reject. A genuinely lost frame still reports behind on the next round,
+	// after the window, and is repaired then.
+	lastSync map[string]time.Time
+	// lagBase is the leader ingest count the last fully replicated publish
+	// covered; the replica-lag gauge reads current ingested minus this.
+	lagBase int64
+	// contact is a followed group's last leader contact.
+	contact time.Time
+}
+
+func newGroupState(row protocol.RouteEntry, f32 bool) *groupState {
+	return &groupState{row: row, f32: f32,
+		owed: make(map[string]bool), lastSync: make(map[string]time.Time)}
+}
+
+// syncJob is one send of a group's served models: every view at seq and
+// cov, to the owed replicas in to.
+type syncJob struct {
+	group string
+	seq   uint64
+	cov   int64
+	f32   bool
+	to    []string
+	// publish says why the replicas are owed: a publish (true) or an
+	// anti-entropy repair. For a publish, lagMark is the ingest count the
+	// replica-lag base advances to once every send lands.
+	publish bool
+	lagMark int64
 }
 
 // Node is one miner process in a cluster: a MiningService hosting the table's
 // share of groups, a replication publisher that streams each successful
-// refit's swapped classifier to the group's followers, and a durability
-// syncer that keeps the cluster converging under restarts and partitions.
-// The syncer runs three repairs over one gossip exchange (see
-// ARCHITECTURE.md, "Cluster durability"):
+// refit's served models to the group's followers, and a durability syncer
+// that keeps the cluster converging under restarts and partitions. The
+// syncer runs three repairs over one gossip exchange (see ARCHITECTURE.md,
+// "Cluster durability"):
 //
 //   - sequence handshake: replicas answer their installed Seq, and a
 //     (re)started leader floors its numbering there, so its next publish
 //     installs instead of being rejected;
-//   - anti-entropy: a replica reporting an older Seq gets the current model
-//     re-pushed immediately, driving staleness_records back to zero without
+//   - anti-entropy: a replica reporting an older Seq is owed the current
+//     models immediately, driving staleness_records back to zero without
 //     waiting for the next refit;
 //   - failover: when a leader stays silent past the grace period, the
 //     next-ranked replica promotes itself, re-announcing the group's row
@@ -124,57 +183,20 @@ type Node struct {
 
 	// Dynamic cluster state, all guarded by mu: the hosted-group list (table
 	// order, grown and shrunk at runtime by the admin control plane's
-	// register/evict hooks), the float32 payload preference per hosted group
-	// (GroupSpec.Float32: their model syncs ship packed-float32 blobs), this
-	// node's per-group rows (each carrying its own epoch; failover adoption
-	// replaces individual rows), the leader-side sequence/coverage counters,
-	// the handshake floor state, the replication queues and the
-	// per-followed-group leader-contact clocks. base is the construction-time table, served
-	// verbatim for the groups this node does not host.
-	mu      sync.Mutex
-	hosted  []string
-	f32     map[string]bool
-	base    []protocol.RouteEntry
-	rows    map[string]protocol.RouteEntry
-	seq     map[string]uint64
-	covered map[string]int64
-	// modelSeq/modelCov are the sequence and coverage the group's currently
-	// served model actually corresponds to — set when this node publishes a
-	// model it fitted, or floored at the installed sync state when a
-	// promotion makes a replica's model the group's serving one. The seq
-	// counter alone is not enough: a restarted leader floors seq at its
-	// replicas' installed state while still serving its freshly constructed
-	// model, and an anti-entropy push of that model under the floored
-	// sequence would overwrite a replica's trained model with an untrained
-	// one. Re-pushes only ever send a model at its own modelSeq.
-	modelSeq map[string]uint64
-	modelCov map[string]int64
-	floored  map[string]bool      // led group's numbering confirmed by a replica state
-	floorBy  map[string]time.Time // fallback: publish unfloored after this instant
-	pending  map[string]pendingSync
-	repush   map[string]map[string]struct{} // group -> replicas owed an anti-entropy push
-	// lastSync records, per led group and replica, when a model sync was
-	// last sent there. A state answer claiming the replica is behind is
-	// ignored while a sync is this recent: gossip states are generated
-	// asynchronously, so one produced while a just-published model is still
-	// in flight (or queued behind the replica's ingest lane) reports the old
-	// sequence — re-pushing on that evidence just earns an idempotent
-	// reject. A genuinely lost frame still reports behind on the next
-	// round, after the window, and is repaired then.
-	lastSync map[string]map[string]time.Time
-	contact  map[string]time.Time // followed group -> last leader contact
+	// register/evict hooks) and one state record per hosted group. base is
+	// the construction-time table, served verbatim for the groups this node
+	// does not host.
+	mu     sync.Mutex
+	hosted []string
+	groups map[string]*groupState
+	base   []protocol.RouteEntry
 
 	notify  chan struct{}
 	gossipQ chan protocol.SyncGossip
 
-	// lagBase is, per hosted group, the leader ingest count the last fully
-	// replicated model covered; the replica-lag gauge reads current ingested
-	// minus this for the groups this node currently leads with replicas.
-	lagBase map[string]*atomic.Int64
-
-	mSyncPublished metrics.Counter // model syncs sent (one per replica per fit)
+	mSyncPublished metrics.Counter // model syncs sent for a publish (one per replica per view per fit)
 	mSyncErrors    metrics.Counter // encode or send failures while replicating
-	mAEPushes      metrics.Counter // anti-entropy re-pushes sent to lagging replicas
+	mAEPushes      metrics.Counter // model syncs sent to repair a lagging replica
 	mPromotions    metrics.Counter // groups this node assumed leadership of
 	mDemotions     metrics.Counter // led groups a higher-epoch row took away
 	mFloors        metrics.Counter // led groups whose numbering a replica state floored
@@ -209,25 +231,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		grace = DefaultFailoverGrace
 	}
 	n := &Node{
-		name:     cfg.Name,
-		conn:     cfg.Conn,
-		aeEvery:  aeEvery,
-		grace:    grace,
-		rows:     make(map[string]protocol.RouteEntry),
-		seq:      make(map[string]uint64),
-		covered:  make(map[string]int64),
-		modelSeq: make(map[string]uint64),
-		modelCov: make(map[string]int64),
-		floored:  make(map[string]bool),
-		floorBy:  make(map[string]time.Time),
-		pending:  make(map[string]pendingSync),
-		repush:   make(map[string]map[string]struct{}),
-		lastSync: make(map[string]map[string]time.Time),
-		contact:  make(map[string]time.Time),
-		notify:   make(chan struct{}, 1),
-		gossipQ:  make(chan protocol.SyncGossip, gossipQueueDepth),
-		lagBase:  make(map[string]*atomic.Int64),
-		f32:      make(map[string]bool),
+		name:    cfg.Name,
+		conn:    cfg.Conn,
+		aeEvery: aeEvery,
+		grace:   grace,
+		groups:  make(map[string]*groupState),
+		notify:  make(chan struct{}, 1),
+		gossipQ: make(chan protocol.SyncGossip, gossipQueueDepth),
 	}
 	for _, e := range cfg.Table.Entries() {
 		n.base = append(n.base, copyRow(e))
@@ -253,30 +263,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			continue
 		}
 		n.hosted = append(n.hosted, spec.ID)
-		n.rows[spec.ID] = route
-		n.lagBase[spec.ID] = &atomic.Int64{}
-		n.f32[spec.ID] = spec.Float32
+		n.groups[spec.ID] = newGroupState(route, spec.Float32)
 	}
 	if len(hosted) == 0 {
 		return nil, fmt.Errorf("%w: table routes nothing to %q", ErrNoGroups, cfg.Name)
 	}
 
 	svcCfg := cfg.Service
-	svcCfg.Routes = nil
 	svcCfg.RoutesFunc = n.routesSnapshot
+	svcCfg.OnSyncGossip = n.offerGossip
+	svcCfg.OnGroupRegistered = n.addGroup
+	svcCfg.OnGroupEvicted = n.dropGroup
 	prevSwap := svcCfg.OnModelSwap
 	svcCfg.OnModelSwap = func(group string, view int, model classify.Classifier) {
 		if prevSwap != nil {
 			prevSwap(group, view, model)
 		}
-		n.enqueueSync(group, view, model)
-	}
-	prevGossip := svcCfg.OnSyncGossip
-	svcCfg.OnSyncGossip = func(g protocol.SyncGossip) {
-		if prevGossip != nil {
-			prevGossip(g)
-		}
-		n.offerGossip(g)
+		n.noteSwap(group, view)
 	}
 	prevSync := svcCfg.OnModelSync
 	svcCfg.OnModelSync = func(group, from string, seq uint64) {
@@ -284,20 +287,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			prevSync(group, from, seq)
 		}
 		n.noteSyncContact(group, from)
-	}
-	prevReg := svcCfg.OnGroupRegistered
-	svcCfg.OnGroupRegistered = func(group string, f32 bool) {
-		if prevReg != nil {
-			prevReg(group, f32)
-		}
-		n.addGroup(group, f32)
-	}
-	prevEvict := svcCfg.OnGroupEvicted
-	svcCfg.OnGroupEvicted = func(group string) {
-		if prevEvict != nil {
-			prevEvict(group)
-		}
-		n.dropGroup(group)
 	}
 	svc, err := protocol.NewGroupedMiningService(cfg.Conn, hosted, svcCfg)
 	if err != nil {
@@ -322,12 +311,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return indexOf(list, s) >= 0
 }
 
 func indexOf(list []string, s string) int {
@@ -357,28 +341,14 @@ func (n *Node) Name() string { return n.name }
 func (n *Node) addGroup(group string, f32 bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var max uint64
-	for _, e := range n.base {
-		if e.Epoch > max {
-			max = e.Epoch
-		}
-	}
-	for _, row := range n.rows {
-		if row.Epoch > max {
-			max = row.Epoch
-		}
-	}
-	n.rows[group] = protocol.RouteEntry{Group: group, Node: n.name, Epoch: max + 1}
+	st := newGroupState(protocol.RouteEntry{Group: group, Node: n.name, Epoch: n.epochLocked() + 1}, f32)
+	// No replicas yet, so there is no installed numbering to handshake with:
+	// publishes start floored.
+	st.floored = true
+	n.groups[group] = st
 	if !contains(n.hosted, group) {
 		n.hosted = append(n.hosted, group)
 	}
-	if n.lagBase[group] == nil {
-		n.lagBase[group] = &atomic.Int64{}
-	}
-	n.f32[group] = f32
-	// No replicas yet, so there is no installed numbering to handshake with:
-	// publishes start floored.
-	n.floored[group] = true
 }
 
 // dropGroup retires an evicted group (the admin control plane's
@@ -388,19 +358,7 @@ func (n *Node) addGroup(group string, f32 bool) {
 func (n *Node) dropGroup(group string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.rows, group)
-	delete(n.seq, group)
-	delete(n.covered, group)
-	delete(n.modelSeq, group)
-	delete(n.modelCov, group)
-	delete(n.floored, group)
-	delete(n.floorBy, group)
-	delete(n.pending, group)
-	delete(n.repush, group)
-	delete(n.lastSync, group)
-	delete(n.contact, group)
-	delete(n.lagBase, group)
-	delete(n.f32, group)
+	delete(n.groups, group)
 	if i := indexOf(n.hosted, group); i >= 0 {
 		n.hosted = append(n.hosted[:i], n.hosted[i+1:]...)
 	}
@@ -415,43 +373,39 @@ func (n *Node) Service() *protocol.MiningService { return n.svc }
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.epochLocked()
+}
+
+// epochLocked is Epoch with mu held. Hosted rows cover both overlays of
+// base rows and runtime-registered groups with no base row at all.
+func (n *Node) epochLocked() uint64 {
 	var max uint64
 	for _, e := range n.base {
 		if e.Epoch > max {
 			max = e.Epoch
 		}
 	}
-	// Hosted rows cover both overlays of base rows and runtime-registered
-	// groups with no base row at all.
-	for _, row := range n.rows {
-		if row.Epoch > max {
-			max = row.Epoch
+	for _, st := range n.groups {
+		if st.row.Epoch > max {
+			max = st.row.Epoch
 		}
 	}
 	return max
 }
 
 // Leads returns the groups this node currently leads, in table order.
-func (n *Node) Leads() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out []string
-	for _, g := range n.hosted {
-		if n.rows[g].Node == n.name {
-			out = append(out, g)
-		}
-	}
-	return out
-}
+func (n *Node) Leads() []string { return n.hostedWhere(true) }
 
 // Follows returns the groups this node currently serves as a read replica,
 // in table order.
-func (n *Node) Follows() []string {
+func (n *Node) Follows() []string { return n.hostedWhere(false) }
+
+func (n *Node) hostedWhere(lead bool) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []string
 	for _, g := range n.hosted {
-		if n.rows[g].Node != n.name {
+		if (n.groups[g].row.Node == n.name) == lead {
 			out = append(out, g)
 		}
 	}
@@ -466,37 +420,28 @@ func (n *Node) Follows() []string {
 // served at their construction-time epochs; clients merge row-wise, so a
 // fresher row from the group's own assignees always outranks them. The
 // frame-level epoch is the highest served row epoch. Runs on the serving
-// loop. The returned rows share their Replicas slices with n.rows, which
-// only ever replaces whole entries, never mutates a slice in place.
+// loop. The returned rows share their Replicas slices with the group
+// states, which only ever replace whole rows, never mutate a slice in place.
 func (n *Node) routesSnapshot() ([]protocol.RouteEntry, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	entries := make([]protocol.RouteEntry, 0, len(n.base))
 	seen := make(map[string]bool, len(n.base))
-	var max uint64
 	for _, e := range n.base {
-		if row, ok := n.rows[e.Group]; ok {
-			e = row
+		if st, ok := n.groups[e.Group]; ok {
+			e = st.row
 		}
 		seen[e.Group] = true
 		entries = append(entries, e)
-		if e.Epoch > max {
-			max = e.Epoch
-		}
 	}
 	// Runtime-registered groups have no base row; serve their live rows after
 	// the table, in registration order.
 	for _, g := range n.hosted {
-		row, ok := n.rows[g]
-		if !ok || seen[g] {
-			continue
-		}
-		entries = append(entries, row)
-		if row.Epoch > max {
-			max = row.Epoch
+		if !seen[g] {
+			entries = append(entries, n.groups[g].row)
 		}
 	}
-	return entries, max
+	return entries, n.epochLocked()
 }
 
 // noteSyncContact refreshes a followed group's leader-contact clock when an
@@ -506,8 +451,8 @@ func (n *Node) routesSnapshot() ([]protocol.RouteEntry, uint64) {
 // deposed. Runs on the group's ingest goroutine.
 func (n *Node) noteSyncContact(group, from string) {
 	n.mu.Lock()
-	if row, ok := n.rows[group]; ok && row.Node == from && row.Node != n.name {
-		n.contact[group] = time.Now()
+	if st, ok := n.groups[group]; ok && st.row.Node == from && from != n.name {
+		st.contact = time.Now()
 	}
 	n.mu.Unlock()
 }
@@ -518,57 +463,51 @@ func (n *Node) noteSyncContact(group, from string) {
 // fits as fresh as the leader's.
 func (n *Node) replicaLag() int64 {
 	type lagRow struct {
-		row  protocol.RouteEntry
-		base *atomic.Int64
+		group string
+		base  int64
 	}
 	n.mu.Lock()
-	rows := make([]lagRow, 0, len(n.hosted))
+	var rows []lagRow
 	for _, g := range n.hosted {
-		// The pointer is captured under the lock: a concurrent evict deletes
-		// the map entry, never the counter it pointed to.
-		rows = append(rows, lagRow{row: n.rows[g], base: n.lagBase[g]})
+		if st := n.groups[g]; st.row.Node == n.name && len(st.row.Replicas) > 0 {
+			rows = append(rows, lagRow{group: g, base: st.lagBase})
+		}
 	}
 	n.mu.Unlock()
 	var lag int64
 	for _, r := range rows {
-		if r.row.Node != n.name || len(r.row.Replicas) == 0 || r.base == nil {
-			continue
-		}
-		ingested, err := n.svc.GroupIngested(r.row.Group)
+		ingested, err := n.svc.GroupIngested(r.group)
 		if err != nil {
 			continue
 		}
-		if d := int64(ingested) - r.base.Load(); d > 0 {
+		if d := int64(ingested) - r.base; d > 0 {
 			lag += d
 		}
 	}
 	return lag
 }
 
-// enqueueSync records one freshly swapped view classifier for replication.
-// It runs on the group's refit goroutine and must not block: it parks the
-// model in the latest-wins pending map (per view — a multi-view refit fires
-// the hook once per view, and all of one fit round's views accumulate into
-// the same pending entry, so followers receive the whole consistent set)
-// and nudges the publisher. Swaps in groups this node does not currently
-// lead, or leads without replicas, have nowhere to go and are dropped here.
-func (n *Node) enqueueSync(group string, view int, model classify.Classifier) {
+// noteSwap marks a led group dirty after a refit swap
+// (ServiceConfig.OnModelSwap) and nudges the publisher. A refit publishes
+// every view, then fires the hook once per view in ascending level order;
+// only the last view's call marks the group, so one fit round goes out under
+// one sequence. It runs on the group's refit goroutine and must not block.
+// Swaps in groups this node does not currently lead, or leads without
+// replicas, have nowhere to go and are dropped here.
+func (n *Node) noteSwap(group string, view int) {
+	views, err := n.svc.GroupViewModels(group)
+	if err != nil || view != views[len(views)-1].Level {
+		return
+	}
 	ingested, _ := n.svc.GroupIngested(group)
 	n.mu.Lock()
-	row, ok := n.rows[group]
-	if !ok || row.Node != n.name || len(row.Replicas) == 0 {
+	st, ok := n.groups[group]
+	if !ok || st.row.Node != n.name || len(st.row.Replicas) == 0 {
 		n.mu.Unlock()
 		return
 	}
-	ps, ok := n.pending[group]
-	if !ok {
-		ps = pendingSync{models: make(map[int]classify.Classifier)}
-	}
-	ps.models[view] = model
-	if int64(ingested) > ps.ingested {
-		ps.ingested = int64(ingested)
-	}
-	n.pending[group] = ps
+	st.dirty = true
+	st.swapCov = int64(ingested)
 	n.mu.Unlock()
 	n.nudge()
 }
@@ -608,17 +547,16 @@ func (n *Node) Serve(ctx context.Context) error {
 	now := time.Now()
 	n.mu.Lock()
 	for _, g := range n.hosted {
-		row := n.rows[g]
-		if row.Node == n.name {
-			if n.aeEvery > 0 && len(row.Replicas) > 0 {
-				// Hold the first publish until a replica answers its installed
-				// Seq (the restart handshake) or the grace passes (cold start).
-				n.floorBy[g] = now.Add(n.floorGrace())
-			} else {
-				n.floored[g] = true
-			}
-		} else {
-			n.contact[g] = now
+		st := n.groups[g]
+		switch {
+		case st.row.Node != n.name:
+			st.contact = now
+		case n.aeEvery > 0 && len(st.row.Replicas) > 0:
+			// Hold the first publish until a replica answers its installed
+			// Seq (the restart handshake) or the grace passes (cold start).
+			st.floorBy = now.Add(n.floorGrace())
+		default:
+			st.floored = true
 		}
 	}
 	n.mu.Unlock()
@@ -642,9 +580,9 @@ func (n *Node) Serve(ctx context.Context) error {
 	return err
 }
 
-// publishLoop drains pending models and replicates each to its group's
-// followers, one publisher per node so replication never competes with
-// serving goroutines for anything but the conn.
+// publishLoop drains the owed replicas on every nudge, one publisher per
+// node so replication never competes with serving goroutines for anything
+// but the conn.
 func (n *Node) publishLoop(ctx context.Context) {
 	for {
 		select {
@@ -652,179 +590,125 @@ func (n *Node) publishLoop(ctx context.Context) {
 			return
 		case <-n.notify:
 		}
-		n.publishPending(ctx)
+		n.replicate(ctx)
 	}
 }
 
-// publishPending replicates every pending model once and serves any queued
-// anti-entropy re-pushes. Encode and send failures are counted and dropped —
-// the next refit enqueues a fresher model anyway, and the lag gauge stays
-// elevated until a publish lands.
-func (n *Node) publishPending(ctx context.Context) {
+// replicate runs one drain of the replication path. A dirty led group whose
+// handshake floor allows it publishes: its sequence advances once, the
+// served models take that sequence, and every replica becomes owed. Then
+// every led group's owed replicas — owed by that publish or by an
+// anti-entropy state answer — get the served models at modelSeq, in table
+// order. A dirty group still waiting on its handshake stays dirty; the
+// syncer's next tick nudges it again.
+func (n *Node) replicate(ctx context.Context) {
 	now := time.Now()
+	var jobs []syncJob
 	n.mu.Lock()
-	batch := n.pending
-	n.pending = make(map[string]pendingSync)
-	rep := n.repush
-	n.repush = make(map[string]map[string]struct{})
-	hosted := append([]string(nil), n.hosted...)
-	n.mu.Unlock()
-
-	for _, group := range hosted { // table order, for determinism
-		ps, ok := batch[group]
-		if !ok {
+	for _, g := range n.hosted {
+		st := n.groups[g]
+		if st.row.Node != n.name || len(st.row.Replicas) == 0 {
+			// Demoted (or never replicated) since the swap or the state
+			// answer: there is nothing to publish or repair.
+			st.dirty = false
+			clear(st.owed)
 			continue
 		}
-		n.mu.Lock()
-		row := n.rows[group]
-		if row.Node != n.name || len(row.Replicas) == 0 {
-			n.mu.Unlock()
-			continue // demoted (or evicted) between enqueue and publish
-		}
-		if !n.floored[group] && now.Before(n.floorBy[group]) {
-			// Handshake pending: park the models so a restarted leader's
-			// first publish cannot collide with the replicas' installed
-			// numbering. Merge per view — a fresher swap enqueued meanwhile
-			// wins its view, parked views it did not refresh are kept.
-			fresher, ok := n.pending[group]
-			if !ok {
-				n.pending[group] = ps
-			} else {
-				for view, model := range ps.models {
-					if _, refreshed := fresher.models[view]; !refreshed {
-						fresher.models[view] = model
-					}
+		job := syncJob{group: g, f32: st.f32}
+		if st.dirty && (st.floored || !now.Before(st.floorBy)) {
+			st.dirty = false
+			st.seq++
+			st.covered = max(st.covered, st.swapCov)
+			// One sequence covers the whole fit round: every view advances
+			// together, and the replica's per-view install guards treat the
+			// shared number independently.
+			st.modelSeq, st.modelCov = st.seq, st.covered
+			job.to, job.publish, job.lagMark = st.row.Replicas, true, st.swapCov
+		} else {
+			for _, r := range st.row.Replicas {
+				if st.owed[r] {
+					job.to = append(job.to, r)
 				}
-				if ps.ingested > fresher.ingested {
-					fresher.ingested = ps.ingested
-				}
-				n.pending[group] = fresher
 			}
-			n.mu.Unlock()
+		}
+		clear(st.owed)
+		if len(job.to) == 0 {
 			continue
 		}
-		n.seq[group]++
-		seq := n.seq[group]
-		if ps.ingested > n.covered[group] {
-			n.covered[group] = ps.ingested
+		for _, r := range job.to {
+			// Stamped before the send, under the lock the state answers
+			// take, so one racing the send cannot owe the replica a
+			// duplicate (see lastSync).
+			st.lastSync[r] = now
 		}
-		cov := n.covered[group]
-		// The models being published are the ones the service now serves (the
-		// swap hooks fired after the atomic publishes), so this sequence is
-		// the one anti-entropy may re-offer the served models under. One
-		// sequence covers the whole round: every view of one fit advances
-		// together, and the per-view install guards on the replica treat the
-		// shared number independently.
-		n.modelSeq[group] = seq
-		n.modelCov[group] = cov
-		replicas := append([]string(nil), row.Replicas...)
-		f32 := n.f32[group]
-		lagBase := n.lagBase[group]
-		n.mu.Unlock()
+		job.seq, job.cov = st.modelSeq, st.modelCov
+		jobs = append(jobs, job)
+	}
+	n.mu.Unlock()
+	for _, j := range jobs {
+		n.send(ctx, j)
+	}
+}
 
-		views := sortedViews(ps.models)
-		allSent := true
-		for _, view := range views {
-			blob, err := encodeSyncModel(ps.models[view], f32)
+// send encodes the group's served models once per view and sends each to
+// the job's replicas at the job's sequence, counting every send under
+// cluster.sync_published or cluster.anti_entropy_pushes by why the replica
+// was owed. Encode and send failures are counted and dropped — the next
+// refit publishes fresher models anyway, anti-entropy repairs a replica
+// that stays behind, and the lag gauge stays elevated until a publish
+// lands everywhere.
+func (n *Node) send(ctx context.Context, j syncJob) {
+	views, err := n.svc.GroupViewModels(j.group)
+	if err != nil {
+		return // evicted since the drain
+	}
+	allSent := true
+	for _, vm := range views {
+		blob, err := encodeSyncModel(vm.Model, j.f32)
+		if err != nil {
+			n.mSyncErrors.Inc()
+			allSent = false
+			continue
+		}
+		for _, replica := range j.to {
+			sctx, cancel := context.WithTimeout(ctx, syncSendTimeout)
+			err := protocol.SendModelSync(sctx, n.conn, replica, j.group, vm.Level, j.seq, j.cov, blob)
+			cancel()
 			if err != nil {
 				n.mSyncErrors.Inc()
 				allSent = false
 				continue
 			}
-			for _, replica := range replicas {
-				sctx, scancel := context.WithTimeout(ctx, syncSendTimeout)
-				err := protocol.SendModelSync(sctx, n.conn, replica, group, view, seq, cov, blob)
-				scancel()
-				if err != nil {
-					n.mSyncErrors.Inc()
-					allSent = false
-					continue
-				}
+			if j.publish {
 				n.mSyncPublished.Inc()
-				n.noteSyncSent(group, replica)
-			}
-		}
-		if allSent && lagBase != nil {
-			lagBase.Store(ps.ingested)
-		}
-	}
-
-	// Anti-entropy: re-push the currently served models — every trust view,
-	// at the sequence they were actually published or installed under, never
-	// the handshake-floored counter — to the replicas whose state answers
-	// reported an older one. A zero modelSeq means the served models are
-	// this process's freshly constructed ones, which no replica should ever
-	// regress to: the repair then waits for the next refit's publish
-	// instead. Replicas at or above modelSeq reject the re-push
-	// idempotently, per view.
-	for group, targets := range rep {
-		n.mu.Lock()
-		row := n.rows[group]
-		seq := n.modelSeq[group]
-		cov := n.modelCov[group]
-		f32 := n.f32[group]
-		n.mu.Unlock()
-		if row.Node != n.name || seq == 0 {
-			continue
-		}
-		views, err := n.svc.GroupViewModels(group)
-		if err != nil {
-			continue
-		}
-		for _, vm := range views {
-			blob, err := encodeSyncModel(vm.Model, f32)
-			if err != nil {
-				n.mSyncErrors.Inc()
-				continue
-			}
-			for replica := range targets {
-				if !contains(row.Replicas, replica) {
-					continue
-				}
-				sctx, scancel := context.WithTimeout(ctx, syncSendTimeout)
-				err := protocol.SendModelSync(sctx, n.conn, replica, group, vm.Level, seq, cov, blob)
-				scancel()
-				if err != nil {
-					n.mSyncErrors.Inc()
-					continue
-				}
+			} else {
 				n.mAEPushes.Inc()
-				n.noteSyncSent(group, replica)
 			}
+			n.mu.Lock()
+			if st, ok := n.groups[j.group]; ok {
+				st.lastSync[replica] = time.Now()
+			}
+			n.mu.Unlock()
 		}
 	}
-}
-
-// sortedViews returns one pending entry's view levels ascending, so a
-// publish round's frames go out in a deterministic order.
-func sortedViews(models map[int]classify.Classifier) []int {
-	out := make([]int, 0, len(models))
-	for v := range models {
-		out = append(out, v)
+	if allSent && j.publish {
+		n.mu.Lock()
+		if st, ok := n.groups[j.group]; ok {
+			st.lagBase = j.lagMark
+		}
+		n.mu.Unlock()
 	}
-	sort.Ints(out)
-	return out
 }
 
-// encodeSyncModel encodes one model for replication, once per publish
-// round whatever the fan-out: the packed-float32 blob (half the bytes) when
-// the group opted into float32 payloads, the float64 blob otherwise. Every
-// replica decodes both forms.
+// encodeSyncModel encodes one model for replication, once per send whatever
+// the fan-out: the packed-float32 blob (half the bytes) when the group opted
+// into float32 payloads, the float64 blob otherwise. Every replica decodes
+// both forms.
 func encodeSyncModel(model classify.Classifier, f32 bool) ([]byte, error) {
 	if f32 {
 		return classify.EncodeModelFloat32(model)
 	}
 	return classify.EncodeModel(model)
-}
-
-// noteSyncSent stamps the last model-sync send to one replica (see lastSync).
-func (n *Node) noteSyncSent(group, replica string) {
-	n.mu.Lock()
-	if n.lastSync[group] == nil {
-		n.lastSync[group] = make(map[string]time.Time)
-	}
-	n.lastSync[group][replica] = time.Now()
-	n.mu.Unlock()
 }
 
 // syncerLoop is the durability coordinator: it runs a gossip round
@@ -844,19 +728,36 @@ func (n *Node) syncerLoop(ctx context.Context) {
 		case <-ticker.C:
 			n.gossipRound(ctx)
 			n.checkFailover(ctx)
-			n.nudge() // retry parked publishes and queued re-pushes
+			n.nudge() // retry publishes parked on the handshake
 		}
 	}
 }
 
-// sendCtx bounds one gossip send so a dead peer costs the syncer a bounded
-// wait, not a stall: the next round retries anyway.
-func (n *Node) sendCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	timeout := n.aeEvery
-	if timeout < 50*time.Millisecond {
-		timeout = 50 * time.Millisecond
+// sendHello announces this leader's sequence, coverage and row for one
+// group to one replica. Gossip sends are best-effort and bounded so a dead
+// peer costs the syncer a bounded wait, not a stall: failures surface as
+// missing answers, which the next round repeats.
+func (n *Node) sendHello(ctx context.Context, to string, row protocol.RouteEntry, seq uint64, cov int64) {
+	sctx, cancel := n.sendCtx(ctx)
+	defer cancel()
+	_ = protocol.SendSyncHello(sctx, n.conn, to, row.Group, seq, row.Epoch, cov, row)
+}
+
+// sendState answers this replica's installed sequence and coverage for one
+// group, with its row, to the named node (best-effort, like sendHello).
+func (n *Node) sendState(ctx context.Context, to string, row protocol.RouteEntry) {
+	seq, err := n.svc.GroupSyncSeq(row.Group)
+	if err != nil {
+		return
 	}
-	return context.WithTimeout(ctx, timeout)
+	cov, _ := n.svc.GroupSyncCovered(row.Group)
+	sctx, cancel := n.sendCtx(ctx)
+	defer cancel()
+	_ = protocol.SendSyncState(sctx, n.conn, to, row.Group, seq, row.Epoch, cov, row)
+}
+
+func (n *Node) sendCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, max(n.aeEvery, 50*time.Millisecond))
 }
 
 // gossipRound sends one durability exchange: a hello per (led group,
@@ -864,52 +765,34 @@ func (n *Node) sendCtx(ctx context.Context) (context.Context, context.CancelFunc
 // and a state per followed group answering this replica's installed
 // sequence. Each frame carries the epoch of its own group's row — rows are
 // versioned individually, so gossip about one group can never misrepresent
-// the freshness of another's assignment. Sends are best-effort; failures
-// surface as missing answers, which the next round repeats.
+// the freshness of another's assignment.
 func (n *Node) gossipRound(ctx context.Context) {
-	type helloSend struct {
-		group string
-		seq   uint64
-		cov   int64
-		row   protocol.RouteEntry
+	type hello struct {
+		row protocol.RouteEntry
+		seq uint64
+		cov int64
 	}
-	type stateSend struct {
-		group string
-		to    string
-		row   protocol.RouteEntry
-	}
+	var hellos []hello
+	var states []protocol.RouteEntry
 	n.mu.Lock()
-	var hellos []helloSend
-	var states []stateSend
 	for _, g := range n.hosted {
-		row := n.rows[g]
-		if row.Node == n.name {
-			if len(row.Replicas) == 0 {
-				continue
-			}
-			hellos = append(hellos, helloSend{group: g, seq: n.seq[g], cov: n.covered[g], row: row})
-		} else {
-			states = append(states, stateSend{group: g, to: row.Node, row: row})
+		st := n.groups[g]
+		switch {
+		case st.row.Node != n.name:
+			states = append(states, st.row)
+		case len(st.row.Replicas) > 0:
+			hellos = append(hellos, hello{row: st.row, seq: st.seq, cov: st.covered})
 		}
 	}
 	n.mu.Unlock()
 
 	for _, h := range hellos {
 		for _, to := range h.row.Replicas {
-			sctx, cancel := n.sendCtx(ctx)
-			_ = protocol.SendSyncHello(sctx, n.conn, to, h.group, h.seq, h.row.Epoch, h.cov, h.row)
-			cancel()
+			n.sendHello(ctx, to, h.row, h.seq, h.cov)
 		}
 	}
-	for _, s := range states {
-		seq, err := n.svc.GroupSyncSeq(s.group)
-		if err != nil {
-			continue
-		}
-		cov, _ := n.svc.GroupSyncCovered(s.group)
-		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncState(sctx, n.conn, s.to, s.group, seq, s.row.Epoch, cov, s.row)
-		cancel()
+	for _, row := range states {
+		n.sendState(ctx, row.Node, row)
 	}
 }
 
@@ -924,7 +807,7 @@ func (n *Node) gossipRound(ctx context.Context) {
 // anti-entropy logic run.
 func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 	n.mu.Lock()
-	ours, hosted := n.rows[g.Group]
+	st, hosted := n.groups[g.Group]
 	if !hosted {
 		n.mu.Unlock()
 		return
@@ -938,33 +821,32 @@ func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 		}
 	}
 	switch {
-	case theirs > ours.Epoch:
+	case theirs > st.row.Epoch:
 		if theirRow != nil {
 			row := copyRow(*theirRow)
 			row.Epoch = theirs
-			n.adoptRowLocked(row)
+			n.adoptRowLocked(st, row)
 		}
-	case theirs < ours.Epoch:
+	case theirs < st.row.Epoch:
 		// The sender is behind (a restarted old leader, or a replica that
 		// missed the failover announcement): teach it the newer row.
-		n.teachLocked(ctx, g.From, g.Group)
+		n.teachLocked(ctx, g.From, st)
 		return
 	default:
-		if theirRow != nil && !sameAssignment(*theirRow, ours) {
-			if rowOutranks(*theirRow, ours) {
-				row := copyRow(*theirRow)
-				row.Epoch = theirs
-				n.adoptRowLocked(row)
-			} else {
+		if theirRow != nil && !sameAssignment(*theirRow, st.row) {
+			if !rowOutranks(*theirRow, st.row) {
 				// Our row wins the tie-break: answer with it so the other
 				// promoter yields.
-				n.teachLocked(ctx, g.From, g.Group)
+				n.teachLocked(ctx, g.From, st)
 				return
 			}
+			row := copyRow(*theirRow)
+			row.Epoch = theirs
+			n.adoptRowLocked(st, row)
 		}
 	}
 
-	row := n.rows[g.Group]
+	row := st.row
 	if g.Hello {
 		// A leader's announcement. Only meaningful when the row agrees the
 		// sender leads the group and this node follows it.
@@ -972,24 +854,19 @@ func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 			n.mu.Unlock()
 			return
 		}
-		n.contact[g.Group] = time.Now()
+		st.contact = time.Now()
 		n.mu.Unlock()
 		mySeq, err := n.svc.GroupSyncSeq(g.Group)
 		if err != nil {
 			return
 		}
-		myCov, _ := n.svc.GroupSyncCovered(g.Group)
+		var lag int64
 		if g.Seq > mySeq {
-			_ = n.svc.ReportSyncLag(g.Group, g.Covered-myCov)
-		} else {
-			_ = n.svc.ReportSyncLag(g.Group, 0)
+			myCov, _ := n.svc.GroupSyncCovered(g.Group)
+			lag = g.Covered - myCov
 		}
-		n.mu.Lock()
-		myRow := n.rows[g.Group]
-		n.mu.Unlock()
-		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncState(sctx, n.conn, g.From, g.Group, mySeq, myRow.Epoch, myCov, myRow)
-		cancel()
+		_ = n.svc.ReportSyncLag(g.Group, lag)
+		n.sendState(ctx, g.From, row)
 		return
 	}
 
@@ -999,32 +876,24 @@ func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 		n.mu.Unlock()
 		return
 	}
-	if g.Seq > n.seq[g.Group] {
-		// The handshake: resume numbering above the replica's installed
-		// sequence, so the next publish installs instead of being rejected.
-		n.seq[g.Group] = g.Seq
-	}
-	if g.Covered > n.covered[g.Group] {
-		n.covered[g.Group] = g.Covered
-	}
-	if !n.floored[g.Group] {
-		n.floored[g.Group] = true
+	// The handshake: resume numbering above the replica's installed
+	// sequence, so the next publish installs instead of being rejected.
+	st.seq = max(st.seq, g.Seq)
+	st.covered = max(st.covered, g.Covered)
+	if !st.floored {
+		st.floored = true
 		n.mFloors.Inc()
 	}
-	// A replica is owed a repair only when it is behind the model this node
-	// can actually offer (modelSeq), not merely behind the floored counter:
-	// a restarted leader serving its freshly constructed model has nothing
-	// trustworthy to re-push until its next refit publishes. And only when
-	// the last sync sent there has had two full gossip rounds to land —
-	// states race in-flight installs, and a re-push on that stale evidence
-	// would be a pointless duplicate (see lastSync).
-	behind := g.Seq < n.modelSeq[g.Group] &&
-		time.Since(n.lastSync[g.Group][g.From]) >= 2*n.aeEvery
+	// A replica is owed a repair only when it is behind the models this
+	// node can actually offer (modelSeq), not merely behind the floored
+	// counter: a restarted leader serving its freshly constructed models has
+	// nothing trustworthy to send until its next refit publishes. And only
+	// when the last sync planned there has had two full gossip rounds to
+	// land — states race in-flight installs, and a repair on that stale
+	// evidence would be a pointless duplicate (see lastSync).
+	behind := g.Seq < st.modelSeq && time.Since(st.lastSync[g.From]) >= 2*n.aeEvery
 	if behind {
-		if n.repush[g.Group] == nil {
-			n.repush[g.Group] = make(map[string]struct{})
-		}
-		n.repush[g.Group][g.From] = struct{}{}
+		st.owed[g.From] = true
 	}
 	n.mu.Unlock()
 	if behind {
@@ -1036,70 +905,56 @@ func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 // the equal-epoch tie-break — with this node's row: a hello when this node
 // leads the group, a state answer otherwise. The sender runs the same
 // comparison on receipt and adopts. Called with mu held; unlocks it.
-func (n *Node) teachLocked(ctx context.Context, to, group string) {
-	row := n.rows[group]
-	seq := n.seq[group]
-	cov := n.covered[group]
-	iLead := row.Node == n.name
+func (n *Node) teachLocked(ctx context.Context, to string, st *groupState) {
+	row, seq, cov := st.row, st.seq, st.covered
 	n.mu.Unlock()
-	sctx, cancel := n.sendCtx(ctx)
-	defer cancel()
-	if iLead {
-		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, row.Epoch, cov, row)
+	if row.Node == n.name {
+		n.sendHello(ctx, to, row, seq, cov)
 		return
 	}
-	mySeq, err := n.svc.GroupSyncSeq(group)
-	if err != nil {
-		return
-	}
-	myCov, _ := n.svc.GroupSyncCovered(group)
-	_ = protocol.SendSyncState(sctx, n.conn, to, group, mySeq, row.Epoch, myCov, row)
+	n.sendState(ctx, to, row)
 }
 
 // adoptRowLocked installs a fresher (or tie-break-winning) row for one
 // hosted group. Only that group's row is replaced — other groups' rows and
 // epochs are unrelated, so concurrent failovers compose — and the group's
 // shard flips role if the row moved leadership. Called with mu held.
-func (n *Node) adoptRowLocked(row protocol.RouteEntry) {
-	old := n.rows[row.Group]
-	n.rows[row.Group] = row
+func (n *Node) adoptRowLocked(st *groupState, row protocol.RouteEntry) {
+	old := st.row
+	st.row = row
 	now := time.Now()
-	if row.Node == n.name {
-		if old.Node != n.name {
-			n.mPromotions.Inc()
-		}
-		// Floor the new leadership's numbering at what this node installed
-		// as a replica, and wait for the other replicas' states before the
-		// first publish. The installed model is the one this node now
-		// serves, so anti-entropy may re-offer it under that sequence.
-		if s, err := n.svc.GroupSyncSeq(row.Group); err == nil {
-			if s > n.seq[row.Group] {
-				n.seq[row.Group] = s
-			}
-			if s > n.modelSeq[row.Group] {
-				n.modelSeq[row.Group] = s
-				if c, err := n.svc.GroupSyncCovered(row.Group); err == nil {
-					n.modelCov[row.Group] = c
-				}
-			}
-		}
-		if c, err := n.svc.GroupSyncCovered(row.Group); err == nil && c > n.covered[row.Group] {
-			n.covered[row.Group] = c
-		}
-		if len(row.Replicas) > 0 && n.aeEvery > 0 {
-			n.floored[row.Group] = false
-			n.floorBy[row.Group] = now.Add(n.floorGrace())
-		} else {
-			n.floored[row.Group] = true
-		}
-		_ = n.svc.SetGroupLead(row.Group)
-	} else {
+	if row.Node != n.name {
 		if old.Node == n.name {
 			n.mDemotions.Inc()
 		}
-		n.contact[row.Group] = now
+		st.contact = now
 		_ = n.svc.SetGroupFollow(row.Group, row.Node)
+		return
 	}
+	if old.Node != n.name {
+		n.mPromotions.Inc()
+	}
+	// Floor the new leadership's numbering at what this node installed as a
+	// replica, and wait for the other replicas' states before the first
+	// publish. The installed models are the ones this node now serves, so
+	// anti-entropy may offer them under that sequence.
+	if s, err := n.svc.GroupSyncSeq(row.Group); err == nil {
+		st.seq = max(st.seq, s)
+		if s > st.modelSeq {
+			st.modelSeq = s
+			if c, err := n.svc.GroupSyncCovered(row.Group); err == nil {
+				st.modelCov = c
+			}
+		}
+	}
+	if c, err := n.svc.GroupSyncCovered(row.Group); err == nil {
+		st.covered = max(st.covered, c)
+	}
+	st.floored = len(row.Replicas) == 0 || n.aeEvery <= 0
+	if !st.floored {
+		st.floorBy = now.Add(n.floorGrace())
+	}
+	_ = n.svc.SetGroupLead(row.Group)
 }
 
 // checkFailover promotes this node for any followed group whose leader has
@@ -1114,20 +969,16 @@ func (n *Node) checkFailover(ctx context.Context) {
 	var stale []string
 	n.mu.Lock()
 	for _, g := range n.hosted {
-		row := n.rows[g]
-		if row.Node == n.name {
+		st := n.groups[g]
+		rank := indexOf(st.row.Replicas, n.name)
+		if st.row.Node == n.name || rank < 0 {
 			continue
 		}
-		rank := indexOf(row.Replicas, n.name)
-		if rank < 0 {
+		if st.contact.IsZero() {
+			st.contact = now
 			continue
 		}
-		last, ok := n.contact[g]
-		if !ok {
-			n.contact[g] = now
-			continue
-		}
-		if now.Sub(last) > n.grace*time.Duration(rank+1) {
+		if now.Sub(st.contact) > n.grace*time.Duration(rank+1) {
 			stale = append(stale, g)
 		}
 	}
@@ -1146,21 +997,17 @@ func (n *Node) checkFailover(ctx context.Context) {
 // its installed sequence.
 func (n *Node) promote(ctx context.Context, group string) {
 	n.mu.Lock()
-	row := n.rows[group]
-	if row.Node == n.name {
+	st, ok := n.groups[group]
+	if !ok || st.row.Node == n.name {
 		n.mu.Unlock()
 		return
 	}
-	promoted := promoteRow(row, n.name)
-	n.adoptRowLocked(promoted)
-	seq := n.seq[group]
-	cov := n.covered[group]
+	n.adoptRowLocked(st, promoteRow(st.row, n.name))
+	row, seq, cov := st.row, st.seq, st.covered
 	n.mu.Unlock()
 
-	for _, to := range promoted.Replicas {
-		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, promoted.Epoch, cov, promoted)
-		cancel()
+	for _, to := range row.Replicas {
+		n.sendHello(ctx, to, row, seq, cov)
 	}
 }
 

@@ -103,7 +103,8 @@ func TestRoutesDiscovery(t *testing.T) {
 		{Group: "alpha", Node: "svc", Replicas: []string{"solo"}},
 		{Group: "beta", Node: "solo"},
 	}
-	_, stop := startIngestService(t, svcConn, labelledLine(t, 4), ServiceConfig{Routes: table})
+	_, stop := startIngestService(t, svcConn, labelledLine(t, 4), ServiceConfig{
+		RoutesFunc: func() ([]RouteEntry, uint64) { return table, 0 }})
 	defer stop()
 	_, stopSolo := startIngestService(t, soloConn, labelledLine(t, 4), ServiceConfig{})
 	defer stopSolo()

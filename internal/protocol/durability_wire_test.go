@@ -68,7 +68,7 @@ func TestSyncGossipDispatch(t *testing.T) {
 }
 
 // TestTableAtEpoch checks RoutesFunc-served tables carry their epoch through
-// the wire, and static Routes answer epoch 0.
+// the wire, epoch 0 included.
 func TestTableAtEpoch(t *testing.T) {
 	net := transport.NewMemNetwork()
 	liveConn, _ := net.Endpoint("live")
@@ -83,7 +83,7 @@ func TestTableAtEpoch(t *testing.T) {
 		RoutesFunc: func() ([]RouteEntry, uint64) { return []RouteEntry{row}, 42 }})
 	defer stopLive()
 	_, stopStatic := startIngestService(t, staticConn, labelledLine(t, 4), ServiceConfig{
-		Routes: []RouteEntry{row}})
+		RoutesFunc: func() ([]RouteEntry, uint64) { return []RouteEntry{row}, 0 }})
 	defer stopStatic()
 
 	client, err := NewServiceClient(cliConn, "live")

@@ -7,14 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster/faultnet"
 	"repro/internal/dataset"
 	"repro/internal/perturb"
 	"repro/internal/transport"
 )
 
-// runFaultySession wires a 3-provider session where the first provider's
-// outgoing messages pass through a FaultConn, and returns the miner error.
-func runFaultySession(t *testing.T, dropEvery int) error {
+// runFaultySession wires a 3-party session over TCP, every endpoint behind
+// a faultnet proxy that its peers dial instead of the endpoint itself, and
+// returns the miner error within timeout. lossy makes every proxy drop the
+// frames the first provider (p1) sends; the returned count is how many
+// frames the proxies dropped.
+func runFaultySession(t *testing.T, lossy bool, timeout time.Duration) (int64, error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(51))
 	d, err := dataset.GenerateByName("Iris", rng)
@@ -30,20 +34,37 @@ func runFaultySession(t *testing.T, dropEvery int) error {
 		t.Fatal(err)
 	}
 
-	net := transport.NewMemNetwork()
-	mk := func(name string) transport.Conn {
-		conn, err := net.Endpoint(name)
+	names := []string{"p1", "p2", "coord", "miner"}
+	conns := make(map[string]*transport.TCPNode, len(names))
+	proxies := make(map[string]*faultnet.Proxy, len(names))
+	for _, name := range names {
+		conn, err := transport.NewTCPNode(name, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		return conn
+		proxy, err := faultnet.Listen(conn.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { proxy.Close() })
+		if lossy {
+			proxy.SetHook(func(_ faultnet.Dir, frame []byte) faultnet.Verdict {
+				if from, _, err := transport.PeekSender(frame); err == nil && from == "p1" {
+					return faultnet.Drop
+				}
+				return faultnet.Pass
+			})
+		}
+		conns[name], proxies[name] = conn, proxy
 	}
-	flakyInner := mk("p1")
-	flaky := transport.NewFaultConn(flakyInner, dropEvery)
-	p2Conn := mk("p2")
-	coordConn := mk("coord")
-	minerConn := mk("miner")
+	for _, name := range names {
+		for _, peer := range names {
+			if peer != name {
+				conns[name].AddPeer(peer, proxies[peer].Addr())
+			}
+		}
+	}
 
 	perts := make([]*perturb.Perturbation, 3)
 	for i := range perts {
@@ -54,21 +75,21 @@ func runFaultySession(t *testing.T, dropEvery int) error {
 		perts[i] = p
 	}
 	// Each role runs on its own goroutine and therefore needs its own rng.
-	prov1, err := NewProvider(flaky, ProviderConfig{
+	prov1, err := NewProvider(conns["p1"], ProviderConfig{
 		Coordinator: "coord", Miner: "miner", Data: parts[0], Perturbation: perts[0],
 		Rng: rand.New(rand.NewSource(61)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov2, err := NewProvider(p2Conn, ProviderConfig{
+	prov2, err := NewProvider(conns["p2"], ProviderConfig{
 		Coordinator: "coord", Miner: "miner", Data: parts[1], Perturbation: perts[1],
 		Rng: rand.New(rand.NewSource(62)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(coordConn, CoordinatorConfig{
+	coord, err := NewCoordinator(conns["coord"], CoordinatorConfig{
 		Providers: []string{"p1", "p2"}, Miner: "miner",
 		Data: parts[2], Perturbation: perts[2],
 		Rng: rand.New(rand.NewSource(63)),
@@ -76,70 +97,46 @@ func runFaultySession(t *testing.T, dropEvery int) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miner, err := NewMiner(minerConn, MinerConfig{Coordinator: "coord", Parties: 3})
+	miner, err := NewMiner(conns["miner"], MinerConfig{Coordinator: "coord", Parties: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	go func() { _ = prov1.Run(ctx) }()
 	go func() { _ = prov2.Run(ctx) }()
 	go func() { _ = coord.Run(ctx) }()
 	_, err = miner.Run(ctx)
-	return err
+	var dropped int64
+	for _, proxy := range proxies {
+		dropped += proxy.Dropped()
+	}
+	return dropped, err
 }
 
 func TestSessionSurvivesNoFaults(t *testing.T) {
-	if err := runFaultySession(t, 0); err != nil {
+	dropped, err := runFaultySession(t, false, 20*time.Second)
+	if err != nil {
 		t.Fatalf("fault-free session failed: %v", err)
+	}
+	if dropped != 0 {
+		t.Fatalf("fault-free proxies dropped %d frames", dropped)
 	}
 }
 
 func TestSessionTimesOutCleanlyOnMessageLoss(t *testing.T) {
-	// Dropping the provider's first send (its dataset or adaptor) must
+	// Losing everything the provider sends (its dataset and adaptor) must
 	// starve the pipeline and surface as a clean ErrMissingPiece — never a
 	// hang (the ctx deadline bounds the test) or a partial unification.
-	err := runFaultySession(t, 1) // drop every send from p1
+	dropped, err := runFaultySession(t, true, 500*time.Millisecond)
 	if err == nil {
 		t.Fatal("lossy session produced a unified dataset")
 	}
 	if !errors.Is(err, ErrMissingPiece) {
 		t.Fatalf("err = %v, want ErrMissingPiece", err)
 	}
-}
-
-func TestFaultConnCountsDrops(t *testing.T) {
-	net := transport.NewMemNetwork()
-	a, err := net.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := net.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	flaky := transport.NewFaultConn(a, 2)
-	ctx := context.Background()
-	for i := 0; i < 6; i++ {
-		if err := flaky.Send(ctx, "b", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := flaky.Dropped(); got != 3 {
-		t.Fatalf("dropped %d, want 3", got)
-	}
-	// The 3 surviving messages are deliverable.
-	recvCtx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	for i := 0; i < 3; i++ {
-		if _, err := b.Recv(recvCtx); err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-	}
-	if flaky.Name() != "a" {
-		t.Fatal("Name not delegated")
+	if dropped == 0 {
+		t.Fatal("lossy proxies dropped nothing")
 	}
 }

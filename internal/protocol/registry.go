@@ -812,10 +812,6 @@ type MiningService struct {
 	// waits them out before closing out.
 	adminWg sync.WaitGroup
 
-	// routes is the cluster routing table served to kindRoutes requests
-	// (ServiceConfig.Routes, copied at construction; empty when standalone).
-	routes []RouteEntry
-
 	// mUnknownGroup counts frames addressed to groups this service does not
 	// host — the one rejection with no shard namespace to land in.
 	mUnknownGroup metrics.Counter
@@ -856,11 +852,6 @@ func NewGroupedMiningService(conn transport.Conn, groups []GroupSpec, cfg Servic
 		mAdminUpdates:   cfg.Metrics.Counter("service.admin.updates"),
 		mAdminLists:     cfg.Metrics.Counter("service.admin.lists"),
 		mAdminDenied:    cfg.Metrics.Counter("service.admin.denied"),
-	}
-	for _, r := range cfg.Routes {
-		s.routes = append(s.routes, RouteEntry{
-			Group: r.Group, Node: r.Node, Epoch: r.Epoch,
-			Replicas: append([]string(nil), r.Replicas...)})
 	}
 	for _, spec := range groups {
 		if _, dup := s.shards[spec.ID]; dup {
@@ -1223,11 +1214,11 @@ func (s *MiningService) Serve(ctx context.Context) error {
 		}
 		if req.Kind == kindRoutes {
 			// Discovery is service-wide, not group-routed: any node answers
-			// with the cluster table it was configured with (empty when
-			// standalone), or a live epoch-stamped snapshot when the cluster
-			// layer hooked RoutesFunc. Encoding a small table inline keeps the
-			// admin path out of every shard's queues.
-			entries, epoch := s.routes, uint64(0)
+			// with the live epoch-stamped snapshot RoutesFunc returns (an
+			// empty table when standalone). Encoding a small table inline
+			// keeps the admin path out of every shard's queues.
+			var entries []RouteEntry
+			var epoch uint64
 			if s.cfg.RoutesFunc != nil {
 				entries, epoch = s.cfg.RoutesFunc()
 			}

@@ -409,15 +409,12 @@ type ServiceConfig struct {
 	// the service-wide unknown-group rejection count (see ARCHITECTURE.md
 	// for the full catalogue). Nil discards all updates.
 	Metrics metrics.Metrics
-	// Routes is the cluster routing table this node serves to kindRoutes
-	// requests. Standalone (non-cluster) services leave it nil and answer
-	// discovery with an empty table.
-	Routes []RouteEntry
-	// RoutesFunc, when set, overrides Routes with a live snapshot: kindRoutes
+	// RoutesFunc, when set, serves the cluster routing table: kindRoutes
 	// requests are answered with the entries and table epoch it returns. The
 	// cluster layer hooks it so failover-promoted tables (with their bumped
 	// epochs) reach clients without a service restart. It runs on the serving
-	// loop and must not block.
+	// loop and must not block. Standalone (non-cluster) services leave it nil
+	// and answer discovery with an empty table.
 	RoutesFunc func() ([]RouteEntry, uint64)
 	// OnModelSwap, when set, is called after every successful background
 	// refit swap — once per trust view, with the group ID, the view's level
@@ -833,36 +830,16 @@ func (c *ServiceClient) ClassifyBatchAt(ctx context.Context, miner, group string
 
 // classifyBatchOnce is one classify round trip, busy rejections included.
 func (c *ServiceClient) classifyBatchOnce(ctx context.Context, miner, group string, batch [][]float64) ([]int, error) {
-	id, ch, err := c.register()
+	resp, err := c.roundTrip(ctx, miner, &serviceWire{Group: group, View: c.view, Batch: batch})
 	if err != nil {
 		return nil, err
 	}
-	payload, err := encodeServiceFrame(
-		&serviceWire{ID: id, Group: group, View: c.view, Batch: batch}, c.wire.Float32)
-	if err != nil {
-		c.unregister(id)
-		return nil, err
-	}
-	if err := c.conn.Send(ctx, miner, payload); err != nil {
-		c.unregister(id)
-		return nil, fmt.Errorf("%w: %v", ErrServiceClosed, err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, c.terminalErr()
-		}
-		return decodeServiceResponse(resp, len(batch))
-	case <-ctx.Done():
-		c.unregister(id)
-		return nil, ctx.Err()
-	case <-c.done:
-		return nil, c.terminalErr()
-	}
+	return decodeServiceResponse(resp, len(batch))
 }
 
 // roundTrip sends one request frame to a peer and blocks for its response
-// frame: the ID is allocated and stamped here. Callers own mapping the response's code to a typed error.
+// frame: the ID is allocated and stamped here. Callers own mapping the
+// response's code to a typed error.
 func (c *ServiceClient) roundTrip(ctx context.Context, to string, w *serviceWire) (*serviceWire, error) {
 	id, ch, err := c.register()
 	if err != nil {
@@ -910,34 +887,14 @@ func (c *ServiceClient) RoutesAt(ctx context.Context, node string) ([]RouteEntry
 // it promotes a replacement leader, and clients prefer the highest epoch
 // among the answers they collect (a stale node cannot roll a client back).
 func (c *ServiceClient) TableAt(ctx context.Context, node string) ([]RouteEntry, uint64, error) {
-	id, ch, err := c.register()
+	resp, err := c.roundTrip(ctx, node, &serviceWire{Kind: kindRoutes})
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := encodeServiceWire(&serviceWire{ID: id, Kind: kindRoutes})
-	if err != nil {
-		c.unregister(id)
+	if err := responseErr(resp); err != nil {
 		return nil, 0, err
 	}
-	if err := c.conn.Send(ctx, node, payload); err != nil {
-		c.unregister(id)
-		return nil, 0, fmt.Errorf("%w: %v", ErrServiceClosed, err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, 0, c.terminalErr()
-		}
-		if err := responseErr(resp); err != nil {
-			return nil, 0, err
-		}
-		return resp.Routes, resp.Epoch, nil
-	case <-ctx.Done():
-		c.unregister(id)
-		return nil, 0, ctx.Err()
-	case <-c.done:
-		return nil, 0, c.terminalErr()
-	}
+	return resp.Routes, resp.Epoch, nil
 }
 
 // PushChunk streams one chunk of perturbed, target-space training records
@@ -975,36 +932,15 @@ func (c *ServiceClient) PushChunkAt(ctx context.Context, miner, group string, ba
 
 // pushChunkOnce is one ingest round trip, busy rejections included.
 func (c *ServiceClient) pushChunkOnce(ctx context.Context, miner, group string, batch [][]float64, labels []int) (int, error) {
-	id, ch, err := c.register()
+	resp, err := c.roundTrip(ctx, miner, &serviceWire{
+		Kind: kindIngest, Group: group, View: c.view, Batch: batch, Labels: labels})
 	if err != nil {
 		return 0, err
 	}
-	payload, err := encodeServiceFrame(&serviceWire{
-		ID: id, Kind: kindIngest, Group: group, View: c.view, Batch: batch,
-		Labels: labels}, c.wire.Float32)
-	if err != nil {
-		c.unregister(id)
-		return 0, err
-	}
-	if err := c.conn.Send(ctx, miner, payload); err != nil {
-		c.unregister(id)
-		return 0, fmt.Errorf("%w: %v", ErrServiceClosed, err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return 0, c.terminalErr()
-		}
-		// Accepted is returned even alongside an error: an ErrRefit
-		// response means the chunk WAS folded in (do not re-push) but the
-		// refreshed model is not live.
-		return resp.Accepted, responseErr(resp)
-	case <-ctx.Done():
-		c.unregister(id)
-		return 0, ctx.Err()
-	case <-c.done:
-		return 0, c.terminalErr()
-	}
+	// Accepted is returned even alongside an error: an ErrRefit response
+	// means the chunk WAS folded in (do not re-push) but the refreshed model
+	// is not live.
+	return resp.Accepted, responseErr(resp)
 }
 
 // responseErr maps a response frame's code to a typed error (nil on codeOK).
