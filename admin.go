@@ -24,9 +24,9 @@ type (
 	GroupUpdate = protocol.AdminUpdate
 	// GroupInfo describes one hosted group in an Admin.ListGroups answer.
 	GroupInfo = protocol.AdminGroupInfo
-	// GroupViewInfo describes one trust view of a multi-level group in an
-	// Admin.ListGroups answer (GroupInfo.Views; empty for single-view
-	// groups).
+	// GroupViewInfo describes one trust view of a group in an
+	// Admin.ListGroups answer (GroupInfo.Views; a group without
+	// GroupConfig.Views lists one open level-1 view).
 	GroupViewInfo = protocol.AdminViewInfo
 	// GroupViewMembers names one trust view's replacement member list in a
 	// GroupUpdate (SetViewMembers/ViewMembers).
@@ -48,14 +48,13 @@ type GroupConfig struct {
 	// Data before shipping, so the instance is mutated by the call; built-in
 	// classifiers (NewKNN, NewSVM, NewNearestCentroid) all work. Required.
 	Model Classifier
-	// RefitEvery, Workers, MaxBatch and QueueDepth tune the group like the
-	// session options WithServiceRefitEvery/WithServiceWorkers/
-	// WithServiceMaxBatch (zero selects the service defaults; negative
-	// RefitEvery disables automatic refits).
+	// RefitEvery, Workers and MaxBatch tune the group like the session
+	// options WithServiceRefitEvery/WithServiceWorkers/WithServiceMaxBatch
+	// (zero selects the service defaults; negative RefitEvery disables
+	// automatic refits).
 	RefitEvery int
 	Workers    int
 	MaxBatch   int
-	QueueDepth int
 	// Members optionally restricts the group to the named transport
 	// endpoints (empty admits any peer).
 	Members []string
@@ -66,11 +65,9 @@ type GroupConfig struct {
 	Quota Quota
 	// Views optionally splits the group into ordered multi-level trust
 	// views, with the same semantics and validation as WithTrustViews.
-	// Model then acts as the per-view prototype and must be a
-	// classify.Cloner (all built-in classifiers are): RegisterGroup fits
-	// one clone per view to prove the spec trains, and the service refits
-	// every view from the delivered records under the group's correlated
-	// noise ladder.
+	// Model is shipped once; the service fits one instance of it per view
+	// from the delivered records under the group's correlated noise
+	// ladder.
 	Views []ViewConfig
 }
 
@@ -113,47 +110,12 @@ func (a *Admin) RegisterGroup(ctx context.Context, cfg GroupConfig) error {
 	if cfg.Model == nil {
 		return fmt.Errorf("%w: group %q has no model", ErrBadInput, cfg.ID)
 	}
-	spec := protocol.AdminGroupSpec{
-		ID:         cfg.ID,
-		X:          cfg.Data.X,
-		Y:          cfg.Data.Y,
-		RefitEvery: cfg.RefitEvery,
-		Workers:    cfg.Workers,
-		MaxBatch:   cfg.MaxBatch,
-		QueueDepth: cfg.QueueDepth,
-		Members:    append([]string(nil), cfg.Members...),
-		Float32:    cfg.Float32,
-		Quota:      cfg.Quota,
-	}
 	if len(cfg.Views) > 0 {
 		// Reuse the option's validation so admin-registered view lists obey
 		// exactly the WithTrustViews contract.
 		if err := WithTrustViews(cfg.Views...)(&config{}); err != nil {
 			return fmt.Errorf("group %q: %w", cfg.ID, err)
 		}
-		cloner, ok := cfg.Model.(classify.Cloner)
-		if !ok {
-			return fmt.Errorf("%w: group %q uses trust views but its model is not a classify.Cloner; every view needs its own instance",
-				ErrBadInput, cfg.ID)
-		}
-		for _, v := range cfg.Views {
-			m := cloner.Clone()
-			if err := m.Fit(cfg.Data.Clone()); err != nil {
-				return fmt.Errorf("%w: group %q view %d model does not train on its data: %v",
-					ErrBadInput, cfg.ID, v.Level, err)
-			}
-			blob, err := classify.EncodeModel(m)
-			if err != nil {
-				return fmt.Errorf("%w: group %q view %d model: %v", ErrBadInput, cfg.ID, v.Level, err)
-			}
-			spec.Views = append(spec.Views, protocol.AdminViewSpec{
-				Level:      v.Level,
-				NoiseSigma: v.NoiseSigma,
-				Model:      blob,
-				Members:    append([]string(nil), v.Members...),
-			})
-		}
-		return a.inner.RegisterGroup(ctx, spec)
 	}
 	if err := cfg.Model.Fit(cfg.Data.Clone()); err != nil {
 		return fmt.Errorf("%w: group %q model does not train on its data: %v", ErrBadInput, cfg.ID, err)
@@ -162,7 +124,19 @@ func (a *Admin) RegisterGroup(ctx context.Context, cfg GroupConfig) error {
 	if err != nil {
 		return fmt.Errorf("%w: group %q model: %v", ErrBadInput, cfg.ID, err)
 	}
-	spec.Model = blob
+	spec := protocol.AdminGroupSpec{
+		ID:         cfg.ID,
+		X:          cfg.Data.X,
+		Y:          cfg.Data.Y,
+		Model:      blob,
+		RefitEvery: cfg.RefitEvery,
+		Workers:    cfg.Workers,
+		MaxBatch:   cfg.MaxBatch,
+		Members:    append([]string(nil), cfg.Members...),
+		Float32:    cfg.Float32,
+		Quota:      cfg.Quota,
+		Views:      protocolViews(cfg.Views),
+	}
 	return a.inner.RegisterGroup(ctx, spec)
 }
 

@@ -739,10 +739,9 @@ func BenchmarkMultiViewClassify(b *testing.B) {
 				views[v] = protocol.ViewSpec{
 					Level:      v + 1,
 					NoiseSigma: 0.1 * float64(v),
-					Model:      classify.NewKNN(1),
 				}
 			}
-			spec := protocol.GroupSpec{ID: "g", Unified: d, Views: views}
+			spec := protocol.GroupSpec{ID: "g", Unified: d, Model: classify.NewKNN(1), Views: views}
 			svc, err := protocol.NewGroupedMiningService(svcConn, []protocol.GroupSpec{spec}, protocol.ServiceConfig{Workers: 8})
 			if err != nil {
 				b.Fatal(err)

@@ -345,9 +345,7 @@ func serveService(conn *serviceStash, res *protocol.MinerResult, modelName, grou
 		group = protocol.DefaultGroup
 	}
 	spec := protocol.GroupSpec{ID: group, Unified: res.Unified, Model: model, Float32: wire.Float32}
-	if err := attachViews(&spec, views, modelName); err != nil {
-		return err
-	}
+	attachViews(&spec, views)
 	reportViewPrivacy(spec)
 	conn.beginServe()
 	svc, err := protocol.NewGroupedMiningService(conn,
@@ -409,28 +407,16 @@ func parseViews(spec string, step float64) ([]viewDef, error) {
 	return out, nil
 }
 
-// attachViews expands -views definitions onto one group spec, building a
-// fresh model instance per view (GroupSpec.Views requires the group-level
-// model to move into the view list).
-func attachViews(spec *protocol.GroupSpec, views []viewDef, modelName string) error {
-	if len(views) == 0 {
-		return nil
-	}
-	spec.Model, spec.NewModel = nil, nil
-	spec.Views = nil
+// attachViews copies -views definitions onto one group spec; every view
+// serves an instance of the group's model.
+func attachViews(spec *protocol.GroupSpec, views []viewDef) {
 	for _, vd := range views {
-		m, err := buildModel(modelName)
-		if err != nil {
-			return err
-		}
 		spec.Views = append(spec.Views, protocol.ViewSpec{
 			Level:      vd.level,
 			NoiseSigma: vd.sigma,
-			Model:      m,
 			Members:    append([]string(nil), vd.members...),
 		})
 	}
-	return nil
 }
 
 // viewReportSample caps the records the serve-time coalition report
@@ -521,9 +507,7 @@ func serveGroups(conn transport.Conn, spec, modelName string, views []viewDef, w
 		return err
 	}
 	for i := range groups {
-		if err := attachViews(&groups[i], views, modelName); err != nil {
-			return err
-		}
+		attachViews(&groups[i], views)
 		reportViewPrivacy(groups[i])
 	}
 	svc, err := protocol.NewGroupedMiningService(conn, groups,
@@ -549,9 +533,7 @@ func serveCluster(node *transport.TCPNode, name, clusterSpec string, replicas in
 		return err
 	}
 	for i := range groups {
-		if err := attachViews(&groups[i], views, modelName); err != nil {
-			return err
-		}
+		attachViews(&groups[i], views)
 		reportViewPrivacy(groups[i])
 	}
 	var names []string

@@ -44,11 +44,12 @@
 //     clients follow the freshest routing-table epoch and skip downed
 //     nodes for WithDownFor.
 //   - Multi-level trust serving: WithTrustViews splits a group into
-//     ordered trust views — one model per level, each trained on the
-//     shared records blurred to the view's noise, with a correlated noise
-//     ladder (every view is the view above plus independent noise) so
-//     colluding recipients pooling their views learn no more than the
-//     least-noisy member alone. Clients pin a view with ClientConfig.View
+//     ordered trust views — one instance of the group's model per level,
+//     each trained on the shared records blurred to the view's noise (a
+//     group without views serves one open level-1 view), with a
+//     correlated noise ladder (every view is the view above plus
+//     independent noise) so colluding recipients pooling their views
+//     learn no more than the least-noisy member alone. Clients pin a view with ClientConfig.View
 //     or are routed to the best view their endpoint is on; views answer
 //     outsiders with ErrNotMember and unserved levels with the typed
 //     ErrUnknownView.
@@ -64,9 +65,10 @@
 //     and drift re-derivations — exportable as a JSON snapshot
 //     (Metrics.Snapshot, or over HTTP via sapnode -metrics-addr, which
 //     also answers /healthz liveness probes).
-//   - One service wire version: every node runs the same binary, so a
-//     frame carries a single version byte and no capability negotiation;
-//     a frame stamped with any other version is refused, typed.
+//   - One service wire version (v10): every node runs the same binary, so
+//     a frame carries a single version byte and no capability negotiation;
+//     a frame stamped with any other version is refused, typed. Every
+//     classify, ingest and sync frame names the trust view it addresses.
 //     WithFloat32Payloads halves record payloads (float32 packing, ~7
 //     significant digits — far inside the perturbation noise floor) from
 //     the first frame, since every peer decodes both widths. Encode buffers

@@ -338,6 +338,12 @@ func TestAntiEntropyCatchUp(t *testing.T) {
 	if n := counterOf(reg2, "service.g-a.sync.installs"); n != 1 {
 		t.Fatalf("partitioned follower installed %d models, want still 1", n)
 	}
+	// refit.count rises before the swap hook queues the publish, so wait for
+	// the leader to have tried it: healing earlier lets the publish install
+	// directly and leaves nothing for anti-entropy to repair.
+	waitFor(t, "leader publish attempt during partition", func() bool {
+		return counterOf(reg1, "cluster.sync_published")+counterOf(reg1, "cluster.sync_errors") >= 2
+	})
 
 	// Heal: the next hello exposes the gap, the state answer triggers the
 	// re-push, the follower converges.

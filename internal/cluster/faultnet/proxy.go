@@ -123,6 +123,9 @@ func (p *Proxy) SetDelay(d time.Duration) {
 }
 
 // Forwarded returns the number of frames relayed (duplicates count twice).
+// A frame counts before it is written, so a peer that has received it can
+// never read a count that misses it; a failed write closes the relay, so a
+// count the write did not deliver is the last one that relay makes.
 func (p *Proxy) Forwarded() int64 { return p.forwarded.Load() }
 
 // Dropped returns the number of frames discarded by hook verdicts.
@@ -265,21 +268,21 @@ func (p *Proxy) pump(dir Dir, src, dst net.Conn) {
 			deferred = append(deferred, frame)
 			continue
 		case Dup:
+			p.forwarded.Add(2)
 			if writeFrame(dst, frame) != nil || writeFrame(dst, frame) != nil {
 				return
 			}
-			p.forwarded.Add(2)
 		default:
+			p.forwarded.Add(1)
 			if writeFrame(dst, frame) != nil {
 				return
 			}
-			p.forwarded.Add(1)
 		}
 		for _, f := range deferred {
+			p.forwarded.Add(1)
 			if writeFrame(dst, f) != nil {
 				return
 			}
-			p.forwarded.Add(1)
 		}
 		deferred = nil
 	}

@@ -194,6 +194,11 @@ type Node struct {
 	notify  chan struct{}
 	gossipQ chan protocol.SyncGossip
 
+	// mSyncPublished counts a publish once its send has returned, so a
+	// counted publish has left this node. mAEPushes counts a repair as it
+	// goes out, before the send returns, so no replica can have installed
+	// a repair this count still misses (a failed one also counts under
+	// mSyncErrors).
 	mSyncPublished metrics.Counter // model syncs sent for a publish (one per replica per view per fit)
 	mSyncErrors    metrics.Counter // encode or send failures while replicating
 	mAEPushes      metrics.Counter // model syncs sent to repair a lagging replica
@@ -653,10 +658,10 @@ func (n *Node) replicate(ctx context.Context) {
 // send encodes the group's served models once per view and sends each to
 // the job's replicas at the job's sequence, counting every send under
 // cluster.sync_published or cluster.anti_entropy_pushes by why the replica
-// was owed. Encode and send failures are counted and dropped — the next
-// refit publishes fresher models anyway, anti-entropy repairs a replica
-// that stays behind, and the lag gauge stays elevated until a publish
-// lands everywhere.
+// was owed (see mSyncPublished for when each counts). Encode and send
+// failures are counted and dropped — the next refit publishes fresher
+// models anyway, anti-entropy repairs a replica that stays behind, and the
+// lag gauge stays elevated until a publish lands everywhere.
 func (n *Node) send(ctx context.Context, j syncJob) {
 	views, err := n.svc.GroupViewModels(j.group)
 	if err != nil {
@@ -671,6 +676,9 @@ func (n *Node) send(ctx context.Context, j syncJob) {
 			continue
 		}
 		for _, replica := range j.to {
+			if !j.publish {
+				n.mAEPushes.Inc()
+			}
 			sctx, cancel := context.WithTimeout(ctx, syncSendTimeout)
 			err := protocol.SendModelSync(sctx, n.conn, replica, j.group, vm.Level, j.seq, j.cov, blob)
 			cancel()
@@ -681,8 +689,6 @@ func (n *Node) send(ctx context.Context, j syncJob) {
 			}
 			if j.publish {
 				n.mSyncPublished.Inc()
-			} else {
-				n.mAEPushes.Inc()
 			}
 			n.mu.Lock()
 			if st, ok := n.groups[j.group]; ok {

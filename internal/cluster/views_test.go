@@ -21,9 +21,9 @@ func TestMultiViewReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := func() []protocol.GroupSpec {
-		return []protocol.GroupSpec{{ID: "g-v", Unified: clusterLine(t, 4, 0), Views: []protocol.ViewSpec{
-			{Level: 1, NoiseSigma: 0, Model: classify.NewKNN(1)},
-			{Level: 2, NoiseSigma: 0.1, Model: classify.NewKNN(1)},
+		return []protocol.GroupSpec{{ID: "g-v", Unified: clusterLine(t, 4, 0), Model: classify.NewKNN(1), Views: []protocol.ViewSpec{
+			{Level: 1, NoiseSigma: 0},
+			{Level: 2, NoiseSigma: 0.1},
 		}}}
 	}
 	c := newChaos(t, table, []string{"n1", "n2"}, specs,

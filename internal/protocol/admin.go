@@ -95,13 +95,12 @@ type AdminGroupSpec struct {
 	// Model is the group's classifier in classify.EncodeModel format. The
 	// service decodes it and fits it on X/Y before the group serves.
 	Model []byte
-	// RefitEvery, Workers, MaxBatch and QueueDepth tune the group exactly
-	// like their GroupSpec counterparts (zero picks the service defaults;
-	// negative RefitEvery disables automatic refits).
+	// RefitEvery, Workers and MaxBatch tune the group exactly like their
+	// GroupSpec counterparts (zero picks the service defaults; negative
+	// RefitEvery disables automatic refits).
 	RefitEvery int
 	Workers    int
 	MaxBatch   int
-	QueueDepth int
 	// Members is the group's ACL (empty admits any peer).
 	Members []string
 	// Float32 marks the group's replication traffic for packed-float32
@@ -109,27 +108,15 @@ type AdminGroupSpec struct {
 	Float32 bool
 	// Quota is the group's ingest rate limit (zero: unlimited).
 	Quota GroupQuota
-	// Views optionally registers the group as a multi-level trust group:
-	// one served model per trust level, mirroring GroupSpec.Views. With
-	// Views set the group-level Model blob must be empty — each view
-	// carries its own. Nil registers a single-view group exactly as before.
+	// Views is the group's ordered trust-view list, mirroring
+	// GroupSpec.Views: every view fits its own instance of Model. Nil
+	// registers one open level-1 view.
 	Views []AdminViewSpec
 }
 
-// AdminViewSpec is the wire form of one trust view in a group registration.
-type AdminViewSpec struct {
-	// Level is the view's trust rank (positive, strictly increasing across
-	// the list; level 1 = most trusted).
-	Level int
-	// NoiseSigma is the view's absolute additive training-noise σ
-	// (non-decreasing across the list).
-	NoiseSigma float64
-	// Model is the view's classifier in classify.EncodeModel format.
-	Model []byte
-	// Members is the view's ACL on top of the group's (empty admits every
-	// group member).
-	Members []string
-}
+// AdminViewSpec is one trust view in a group registration. A ViewSpec is
+// plain data, so the registry's own form travels as is.
+type AdminViewSpec = ViewSpec
 
 // AdminUpdate names the limits a kindAdminUpdate changes on a live group.
 // Each Set flag gates its field, so an update touches exactly what the
@@ -169,7 +156,6 @@ type AdminGroupInfo struct {
 	Workers    int
 	MaxBatch   int
 	RefitEvery int
-	QueueDepth int
 	Members    []string
 	// SyncFrom is the leader this group replicates from ("" when the group
 	// leads itself).
@@ -178,12 +164,11 @@ type AdminGroupInfo struct {
 	Quota    GroupQuota
 	// Ingested is the group's total stream-ingested record count.
 	Ingested int64
-	// Views describes a multi-level group's trust views in ascending level
-	// order; nil for single-view groups.
+	// Views describes the group's trust views in ascending level order.
 	Views []AdminViewInfo
 }
 
-// AdminViewInfo describes one trust view of a hosted multi-level group.
+// AdminViewInfo describes one trust view of a hosted group.
 type AdminViewInfo struct {
 	Level      int
 	NoiseSigma float64
@@ -201,38 +186,6 @@ func (w *AdminGroupSpec) groupSpec() (GroupSpec, error) {
 	if err != nil {
 		return GroupSpec{}, fmt.Errorf("group %q training set: %v", w.ID, err)
 	}
-	spec := GroupSpec{
-		ID:         w.ID,
-		Unified:    ds,
-		RefitEvery: w.RefitEvery,
-		Workers:    w.Workers,
-		MaxBatch:   w.MaxBatch,
-		QueueDepth: w.QueueDepth,
-		Members:    w.Members,
-		Float32:    w.Float32,
-		Quota:      w.Quota,
-	}
-	if len(w.Views) > 0 {
-		if len(w.Model) > 0 {
-			return GroupSpec{}, fmt.Errorf("group %q: both a group-level model blob and views", w.ID)
-		}
-		for _, vw := range w.Views {
-			if len(vw.Model) == 0 {
-				return GroupSpec{}, fmt.Errorf("group %q view %d: no model blob", w.ID, vw.Level)
-			}
-			model, err := classify.DecodeModel(vw.Model)
-			if err != nil {
-				return GroupSpec{}, fmt.Errorf("group %q view %d model: %v", w.ID, vw.Level, err)
-			}
-			spec.Views = append(spec.Views, ViewSpec{
-				Level:      vw.Level,
-				NoiseSigma: vw.NoiseSigma,
-				Model:      model,
-				Members:    vw.Members,
-			})
-		}
-		return spec, nil
-	}
 	if len(w.Model) == 0 {
 		return GroupSpec{}, fmt.Errorf("group %q: no model blob", w.ID)
 	}
@@ -240,8 +193,18 @@ func (w *AdminGroupSpec) groupSpec() (GroupSpec, error) {
 	if err != nil {
 		return GroupSpec{}, fmt.Errorf("group %q model: %v", w.ID, err)
 	}
-	spec.Model = model
-	return spec, nil
+	return GroupSpec{
+		ID:         w.ID,
+		Unified:    ds,
+		Model:      model,
+		RefitEvery: w.RefitEvery,
+		Workers:    w.Workers,
+		MaxBatch:   w.MaxBatch,
+		Members:    w.Members,
+		Float32:    w.Float32,
+		Quota:      w.Quota,
+		Views:      w.Views,
+	}, nil
 }
 
 // adminTokenOK authenticates one admin frame against the configured token in

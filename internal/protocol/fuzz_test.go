@@ -63,9 +63,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		Model: []byte{'K', 0x03, 0x04}}
 	viewRegister := &serviceWire{ID: 25, Kind: kindAdminRegister, Group: "delta",
 		Token: "tok", Spec: &AdminGroupSpec{ID: "delta", X: [][]float64{{0.5}}, Y: []int{1},
+			Model: []byte{'K', 0x05},
 			Views: []AdminViewSpec{
-				{Level: 1, NoiseSigma: 0, Model: []byte{'K', 0x05}, Members: []string{"analyst"}},
-				{Level: 2, NoiseSigma: 0.3, Model: []byte{'K', 0x06}},
+				{Level: 1, NoiseSigma: 0, Members: []string{"analyst"}},
+				{Level: 2, NoiseSigma: 0.3},
 			}}}
 	unknownView := &serviceWire{ID: 23, Response: true,
 		Code: codeUnknownView, Err: `group "alpha" serves no view 9`}
@@ -83,7 +84,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		viewClassify, viewIngest, viewSync, viewRegister, unknownView} {
 		f.Add(seed(w, ServiceWireVersion))
 		f.Add(packed(w))
-		// The retired versions 1–8 must be refused, never read.
+		// The retired versions 1–9 must be refused, never read.
 		for version := byte(1); version < ServiceWireVersion; version++ {
 			f.Add(seed(w, version))
 		}

@@ -53,18 +53,20 @@ type GroupSpec struct {
 	// Unified is the group's training set, already in the group's own
 	// target space. Required, non-empty.
 	Unified *dataset.Dataset
-	// Model is the classifier served to the group. Each group needs its own
-	// instance — shards never share model state. Optional when NewModel is
-	// set (the factory then builds the initial model too).
+	// Model is the group's prototype classifier. Each group needs its own
+	// instance — shards never share model state. It serves the group's first
+	// view; every further view, and every background refit, fits a fresh
+	// instance from NewModel or the model's classify.Cloner. Optional when
+	// NewModel is set (the factory then builds the initial model too).
 	Model classify.Classifier
 	// NewModel returns a fresh, unfitted classifier with the group's model
 	// configuration. Background refits fit a fresh instance off to the side
 	// and atomically swap it in, so the live model is never mutated — a
 	// failed refit provably cannot corrupt it. Optional when Model
 	// implements classify.Cloner (all built-in classifiers do); required
-	// otherwise whenever refits are enabled, since without a fresh instance
-	// the service cannot honor its keep-serving-on-the-previous-fit
-	// guarantee.
+	// otherwise whenever refits are enabled or the group serves more than
+	// one view, since without a fresh instance the service cannot honor its
+	// keep-serving-on-the-previous-fit guarantee.
 	NewModel func() classify.Classifier
 	// RefitEvery overrides ServiceConfig.RefitEvery for this group (0
 	// inherits the service-wide cadence; negative disables automatic
@@ -105,33 +107,26 @@ type GroupSpec struct {
 	// noise floor dwarfs the quantization error), but the opt-in is per
 	// group so precision-sensitive contracts stay on float64.
 	Float32 bool
-	// QueueDepth overrides the depth of the group's bounded ingest and
-	// classify queues (0 selects shardIngestQueueDepth and
-	// shardJobQueueDepth). Deeper queues absorb burstier traffic before the
-	// busy rejection fires; shallower ones fail faster.
-	QueueDepth int
 	// Quota rate-limits the group's ingest: chunks beyond the
 	// records-per-second token bucket answer a typed ErrQuota within one
 	// round trip (rejects.quota), before they ever occupy queue space. The
 	// zero value is unlimited. Updatable at runtime through the admin
 	// control plane.
 	Quota GroupQuota
-	// Views optionally splits the group into an ordered multi-level trust
-	// view list: one served model per trust level, every level fitted on
-	// the same training set under its own slice of a jointly drawn
-	// correlated noise ladder (perturb.NoiseLadder), so no coalition of
-	// views can pool its way below the least-noisy member's privacy level.
-	// Views must be listed in strictly increasing level order (level 1 =
-	// most trusted) with non-decreasing noise; with Views set, the
-	// group-level Model/NewModel must be nil (each view brings its own).
-	// Nil — the default — serves today's single implicit view with
-	// byte-identical wire behavior.
+	// Views is the group's ordered trust-view list: one served model per
+	// trust level, every level fitted from the group's model on the same
+	// training set under its own slice of a jointly drawn correlated noise
+	// ladder (perturb.NoiseLadder), so no coalition of views can pool its way
+	// below the least-noisy member's privacy level. Views must be listed in
+	// strictly increasing level order (level 1 = most trusted) with
+	// non-decreasing noise. Nil — the default — serves one open level-1 view
+	// with no noise.
 	Views []ViewSpec
 }
 
-// ViewSpec describes one trust view of a multi-level serving group: the
-// classifier served at one trust level, fitted on the group's training data
-// blurred by that level's slice of the group's correlated noise ladder.
+// ViewSpec describes one trust view of a serving group: the level it serves
+// at, the noise its model is fitted under, and who may query it. Every view
+// serves an instance of the group's model.
 type ViewSpec struct {
 	// Level is the view's trust rank: positive, unique within the group,
 	// listed in strictly increasing order. Smaller levels are more trusted
@@ -146,10 +141,6 @@ type ViewSpec struct {
 	// noise away (the diversity attack; see internal/privacy's coalition
 	// evaluator).
 	NoiseSigma float64
-	// Model and NewModel mirror GroupSpec.Model and GroupSpec.NewModel for
-	// this view; every view serves its own instances.
-	Model    classify.Classifier
-	NewModel func() classify.Classifier
 	// Members optionally restricts the view to the named transport
 	// endpoints, on top of the group's own ACL. Empty admits every peer
 	// the group admits.
@@ -168,11 +159,9 @@ type modelShard struct {
 	id      string
 	dim     int
 	workers int
-	// queueDepth is the capacity both bounded queues were built with and f32
-	// the group's float32-payload preference; fixed for the shard's lifetime
-	// (unlike limits), reported by the admin list.
-	queueDepth int
-	f32        bool
+	// f32 is the group's float32-payload preference; fixed for the shard's
+	// lifetime (unlike limits), reported by the admin list.
+	f32 bool
 	// limits holds the shard's updatable serving limits — batch cap, refit
 	// cadence, members ACL, ingest quota — behind one atomic pointer: the
 	// admin control plane replaces the whole bundle in place while workers
@@ -191,22 +180,18 @@ type modelShard struct {
 
 	// views are the group's trust views in ascending level order; views[0]
 	// is the primary (highest-trust) view. Groups without GroupSpec.Views
-	// get one implicit open view at level 1 and behave exactly as before.
-	// The slice is fixed for the shard's lifetime; per-view mutable state
-	// (model, members, sync cursor) lives behind each view's own atomics.
+	// get one open view at level 1. The slice is fixed for the shard's
+	// lifetime; per-view mutable state (model, members, sync cursor) lives
+	// behind each view's own atomics.
 	views []*viewShard
-	// explicitViews records whether the spec asked for multi-level views.
-	// Implicit groups skip the noise ladder, the per-view metric namespace
-	// and all View-field stamping, keeping their wire bytes identical to
-	// the pre-view service.
-	explicitViews bool
-	// viewRng draws the correlated noise ladder for multi-view fits,
+	// viewRng draws the correlated noise ladder for view fits,
 	// deterministically seeded from the group ID. Touched only during
 	// construction and then on the refit goroutine, strictly sequentially.
 	viewRng *rand.Rand
-	// canRefit is true when every view has a fresh-instance source
-	// (ViewSpec.NewModel or a classify.Cloner model).
-	canRefit bool
+	// newModel returns a fresh unfitted instance of the group's model
+	// (GroupSpec.NewModel or the model's classify.Cloner) for every view's
+	// refits; nil when the group cannot refit.
+	newModel func() classify.Classifier
 
 	// The growing training set and the count of records ingested since the
 	// last scheduled refit; both are touched only by the shard's ingest
@@ -294,11 +279,8 @@ type viewShard struct {
 	// while the receive loop resolves views lock-free. The stored pointer
 	// is never nil; the map it points to may be.
 	members atomic.Pointer[map[string]struct{}]
-	// newModel returns a fresh unfitted classifier for this view's refits;
-	// nil only when refits are disabled for the group.
-	newModel func() classify.Classifier
-	// model is the view's served classifier, published with the same
-	// store-only-on-success atomic discipline the single-model shard used.
+	// model is the view's served classifier, published with
+	// store-only-on-success atomic discipline.
 	model atomic.Pointer[classify.Classifier]
 	// syncSeq / syncCovered are the view's replication cursor: each view
 	// replicates independently, and a promoted or restarted leader floors
@@ -306,9 +288,7 @@ type viewShard struct {
 	syncSeq     atomic.Uint64
 	syncCovered atomic.Int64
 
-	// Per-view instruments under "service.<group>.view.<level>.". No-ops
-	// for implicit single-view groups, whose flat group namespace stays
-	// the complete catalogue.
+	// Per-view instruments under "service.<group>.view.<level>.".
 	mRequests     metrics.Counter // classify frames answered by this view
 	mRefits       metrics.Counter // refit publishes of this view's model
 	mSyncInstalls metrics.Counter // model syncs installed into this view
@@ -348,7 +328,7 @@ func (sh *modelShard) applyUpdate(u *AdminUpdate) error {
 		next.maxBatch = u.MaxBatch
 	}
 	if u.SetRefitEvery {
-		if u.RefitEvery > 0 && !sh.canRefit {
+		if u.RefitEvery > 0 && sh.newModel == nil {
 			return fmt.Errorf("group %q cannot refit: no model factory or cloner", sh.id)
 		}
 		next.refitEvery = u.RefitEvery
@@ -392,8 +372,7 @@ func (sh *modelShard) applyUpdate(u *AdminUpdate) error {
 	return nil
 }
 
-// primary returns the group's highest-trust view (the only view of an
-// implicit single-level group).
+// primary returns the group's highest-trust view.
 func (sh *modelShard) primary() *viewShard { return sh.views[0] }
 
 // viewAt returns the view serving the given trust level, or nil. The view
@@ -410,14 +389,10 @@ func (sh *modelShard) viewAt(level int) *viewShard {
 // resolveView normalizes a classify/ingest frame's View field to a concrete
 // view the sender may address, mutating req.View in place. An explicit level
 // must exist (codeUnknownView) and admit the sender (codeNotMember); level 0
-// resolves to the sender's highest-authorized view — except on implicit
-// single-view groups, where it stays 0 so every response byte matches the
-// pre-view service. Returns a zero code on success.
+// resolves to the sender's highest-authorized view. Returns a zero code on
+// success.
 func (sh *modelShard) resolveView(req *serviceWire, from string) (code uint8, msg string) {
 	if req.View == 0 {
-		if !sh.explicitViews {
-			return 0, ""
-		}
 		for _, v := range sh.views {
 			if v.admits(from) {
 				req.View = v.level
@@ -434,17 +409,6 @@ func (sh *modelShard) resolveView(req *serviceWire, from string) (code uint8, ms
 		return codeNotMember, fmt.Sprintf("peer %q is not a member of view %d of group %q", from, req.View, sh.id)
 	}
 	return 0, ""
-}
-
-// wireLevel is the view level replication stamps on wire frames: the real
-// level for explicit multi-view groups, 0 for the implicit single view —
-// gob omits zero-valued fields, so single-view groups' sync frames stay
-// byte-identical to the pre-view service.
-func (sh *modelShard) wireLevel(v *viewShard) int {
-	if !sh.explicitViews {
-		return 0
-	}
-	return v.level
 }
 
 // minSyncSeq is the group's replication low-water mark: the smallest last
@@ -496,41 +460,28 @@ type refitJob struct {
 	stale    int64
 }
 
-// viewSpecsFor normalizes a group spec's view list: explicit views are
-// validated (positive strictly increasing levels, non-negative non-decreasing
-// sigmas, a classifier source per view, no group-level model alongside);
-// a nil list becomes the single implicit level-1 view carrying the group's
-// own model fields.
-func viewSpecsFor(spec GroupSpec) ([]ViewSpec, bool, error) {
+// viewSpecsFor validates a group spec's view list (positive strictly
+// increasing levels, non-negative non-decreasing sigmas); a nil list is the
+// single open level-1 view with no noise.
+func viewSpecsFor(spec GroupSpec) ([]ViewSpec, error) {
 	if len(spec.Views) == 0 {
-		if spec.Model == nil && spec.NewModel == nil {
-			return nil, false, fmt.Errorf("%w: group %q has a nil classifier", ErrBadConfig, spec.ID)
-		}
-		return []ViewSpec{{Level: 1, Model: spec.Model, NewModel: spec.NewModel}}, false, nil
-	}
-	if spec.Model != nil || spec.NewModel != nil {
-		return nil, false, fmt.Errorf(
-			"%w: group %q sets both a group-level model and Views; multi-level groups carry per-view models only",
-			ErrBadConfig, spec.ID)
+		return []ViewSpec{{Level: 1}}, nil
 	}
 	prevLevel, prevSigma := 0, 0.0
 	for _, vs := range spec.Views {
 		if vs.Level <= prevLevel {
-			return nil, false, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"%w: group %q view levels must be positive and strictly increasing (level %d after %d)",
 				ErrBadConfig, spec.ID, vs.Level, prevLevel)
 		}
 		if vs.NoiseSigma < 0 || vs.NoiseSigma < prevSigma {
-			return nil, false, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"%w: group %q view noise must be non-negative and non-decreasing (view %d has σ=%v after σ=%v)",
 				ErrBadConfig, spec.ID, vs.Level, vs.NoiseSigma, prevSigma)
 		}
-		if vs.Model == nil && vs.NewModel == nil {
-			return nil, false, fmt.Errorf("%w: group %q view %d has a nil classifier", ErrBadConfig, spec.ID, vs.Level)
-		}
 		prevLevel, prevSigma = vs.Level, vs.NoiseSigma
 	}
-	return spec.Views, true, nil
+	return spec.Views, nil
 }
 
 // viewTrainingSets derives every view's training data from one coalesced
@@ -538,8 +489,8 @@ func viewSpecsFor(spec GroupSpec) ([]ViewSpec, bool, error) {
 // once (perturb.NoiseLadder — lower-trust noise is higher-trust noise plus
 // an independent increment, never an independent draw) and view i trains on
 // snapshot + Δ_i. The snapshot itself is treated read-only; every returned
-// dataset is the caller's to own. Single-view zero-noise groups skip the
-// ladder entirely.
+// dataset is the caller's to own. Groups without noise skip the ladder
+// entirely.
 func viewTrainingSets(rng *rand.Rand, views []*viewShard, snapshot *dataset.Dataset) ([]*dataset.Dataset, error) {
 	sigmas := make([]float64, len(views))
 	noised := false
@@ -584,7 +535,10 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 	if spec.Unified == nil || spec.Unified.Len() == 0 {
 		return nil, fmt.Errorf("%w: group %q has no unified dataset", ErrBadConfig, spec.ID)
 	}
-	viewSpecs, explicit, err := viewSpecsFor(spec)
+	if spec.Model == nil && spec.NewModel == nil {
+		return nil, fmt.Errorf("%w: group %q has a nil classifier", ErrBadConfig, spec.ID)
+	}
+	viewSpecs, err := viewSpecsFor(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -594,39 +548,27 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 	if spec.MaxBatch < 0 {
 		return nil, fmt.Errorf("%w: group %q has a negative batch cap %d", ErrBadConfig, spec.ID, spec.MaxBatch)
 	}
-	if spec.QueueDepth < 0 {
-		return nil, fmt.Errorf("%w: group %q has a negative queue depth %d", ErrBadConfig, spec.ID, spec.QueueDepth)
-	}
 	refitEvery := spec.RefitEvery
 	if refitEvery == 0 {
 		refitEvery = cfg.RefitEvery
 	}
-	// Assemble the view shards and resolve each view's fresh-instance source
-	// for background refits: an explicit factory wins, a cloneable model
-	// works too. With refits enabled every view needs one — retraining a
-	// live instance in place would reintroduce the corruption-on-failed-fit
-	// bug the swap design kills.
-	views := make([]*viewShard, len(viewSpecs))
-	canRefit := true
-	for i, vs := range viewSpecs {
-		newModel := vs.NewModel
-		if newModel == nil {
-			if cloner, ok := vs.Model.(classify.Cloner); ok {
-				newModel = cloner.Clone
-			}
+	// Resolve the group's fresh-instance source: an explicit factory wins, a
+	// cloneable model works too. Every view past the first needs one, and so
+	// does every background refit — retraining a live instance in place
+	// would reintroduce the corruption-on-failed-fit bug the swap design
+	// kills.
+	newModel := spec.NewModel
+	if newModel == nil {
+		if cloner, ok := spec.Model.(classify.Cloner); ok {
+			newModel = cloner.Clone
 		}
-		if newModel == nil {
-			canRefit = false
-		}
-		viewMembers, err := memberSet(spec.ID, vs.Members)
-		if err != nil {
-			return nil, fmt.Errorf("%w: view %d: %v", ErrBadConfig, vs.Level, err)
-		}
-		v := &viewShard{level: vs.Level, sigma: vs.NoiseSigma, newModel: newModel}
-		v.members.Store(&viewMembers)
-		views[i] = v
 	}
-	if refitEvery > 0 && !canRefit {
+	if newModel == nil && len(viewSpecs) > 1 {
+		return nil, fmt.Errorf(
+			"%w: group %q serves %d views but its model cannot make more instances: set GroupSpec.NewModel or implement classify.Cloner",
+			ErrBadConfig, spec.ID, len(viewSpecs))
+	}
+	if refitEvery > 0 && newModel == nil {
 		if spec.SyncFrom == "" {
 			return nil, fmt.Errorf(
 				"%w: group %q model cannot refit in the background: set GroupSpec.NewModel or implement classify.Cloner (or disable refits)",
@@ -636,6 +578,16 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 		// is later promoted to leader; disable the cadence rather than reject
 		// the spec (the shard still serves and installs syncs).
 		refitEvery = -1
+	}
+	views := make([]*viewShard, len(viewSpecs))
+	for i, vs := range viewSpecs {
+		viewMembers, err := memberSet(spec.ID, vs.Members)
+		if err != nil {
+			return nil, fmt.Errorf("%w: view %d: %v", ErrBadConfig, vs.Level, err)
+		}
+		v := &viewShard{level: vs.Level, sigma: vs.NoiseSigma}
+		v.members.Store(&viewMembers)
+		views[i] = v
 	}
 	// The noise ladder's RNG is seeded from the group ID alone, so a group's
 	// replicas (and its restarts) draw identical ladders for identical
@@ -650,17 +602,19 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: group %q views: %v", ErrBadConfig, spec.ID, err)
 	}
-	for i, vs := range viewSpecs {
-		model := vs.Model
-		if model == nil {
-			if model = views[i].newModel(); model == nil {
+	for i, v := range views {
+		// The first view serves the group's own model; the rest serve fresh
+		// instances of it.
+		model := spec.Model
+		if i > 0 || model == nil {
+			if model = newModel(); model == nil {
 				return nil, fmt.Errorf("%w: group %q model factory returned nil", ErrBadConfig, spec.ID)
 			}
 		}
 		if err := model.Fit(viewSets[i]); err != nil {
 			return nil, fmt.Errorf("protocol: train group %q model: %w", spec.ID, err)
 		}
-		views[i].model.Store(&model)
+		v.model.Store(&model)
 	}
 	workers := spec.Workers
 	if workers == 0 {
@@ -674,25 +628,19 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	ingestDepth, jobDepth := shardIngestQueueDepth, shardJobQueueDepth
-	if spec.QueueDepth > 0 {
-		ingestDepth, jobDepth = spec.QueueDepth, spec.QueueDepth
-	}
 	ns := "service." + spec.ID + "."
 	sh := &modelShard{
-		id:            spec.ID,
-		dim:           training.Dim(),
-		workers:       workers,
-		queueDepth:    ingestDepth,
-		f32:           spec.Float32,
-		views:         views,
-		explicitViews: explicit,
-		viewRng:       viewRng,
-		canRefit:      canRefit,
-		training:      training,
-		jobs:          make(chan serviceJob, jobDepth),
-		ingestQ:       make(chan serviceJob, ingestDepth),
-		refitQ:        make(chan refitJob, 1),
+		id:       spec.ID,
+		dim:      training.Dim(),
+		workers:  workers,
+		f32:      spec.Float32,
+		views:    views,
+		viewRng:  viewRng,
+		newModel: newModel,
+		training: training,
+		jobs:     make(chan serviceJob, shardJobQueueDepth),
+		ingestQ:  make(chan serviceJob, shardIngestQueueDepth),
+		refitQ:   make(chan refitJob, 1),
 
 		mRequests:      cfg.Metrics.Counter(ns + "requests"),
 		mBatchSize:     cfg.Metrics.Histogram(ns + "batch_size"),
@@ -713,18 +661,12 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 		mRefitRetries:  cfg.Metrics.Counter(ns + "refit.retries"),
 		mUnknownView:   cfg.Metrics.Counter(ns + "rejects.unknown_view"),
 	}
-	// Per-view instruments exist only for explicit multi-level groups;
-	// implicit single-view groups keep their flat namespace unchanged.
-	viewMetrics := metrics.Nop()
-	if explicit {
-		viewMetrics = cfg.Metrics
-	}
 	for _, v := range views {
 		vns := ns + "view." + strconv.Itoa(v.level) + "."
-		v.mRequests = viewMetrics.Counter(vns + "requests")
-		v.mRefits = viewMetrics.Counter(vns + "refit.count")
-		v.mSyncInstalls = viewMetrics.Counter(vns + "sync.installs")
-		v.mSyncSeq = viewMetrics.Gauge(vns + "sync.seq")
+		v.mRequests = cfg.Metrics.Counter(vns + "requests")
+		v.mRefits = cfg.Metrics.Counter(vns + "refit.count")
+		v.mSyncInstalls = cfg.Metrics.Counter(vns + "sync.installs")
+		v.mSyncSeq = cfg.Metrics.Gauge(vns + "sync.seq")
 	}
 	sh.limits.Store(&shardLimits{
 		maxBatch:   maxBatch,
@@ -911,8 +853,8 @@ func (s *MiningService) GroupIngested(group string) (int, error) {
 }
 
 // GroupModel returns one group's currently served primary-view classifier
-// (the atomic the prediction workers load; multi-level groups' lower views
-// come from GroupViewModels). The instance is never mutated after publish,
+// (the atomic the prediction workers load; lower-trust views come from
+// GroupViewModels). The instance is never mutated after publish,
 // so callers may encode it concurrently with serving; the cluster layer
 // does, for anti-entropy re-pushes.
 func (s *MiningService) GroupModel(group string) (classify.Classifier, error) {
@@ -930,13 +872,10 @@ type GroupViewModel struct {
 	Model classify.Classifier
 }
 
-// GroupViewModels returns every view's currently served classifier in
-// ascending level order. Levels follow the wire convention OnModelSwap
-// uses: explicit multi-view groups report their real levels, single-view
-// groups one entry at level 0, stampable on sync frames verbatim. The
-// instances are never mutated after publish; the cluster layer encodes them
-// concurrently with serving for per-view replication and anti-entropy
-// re-pushes.
+// GroupViewModels returns every view's level and currently served
+// classifier in ascending level order. The instances are never mutated
+// after publish; the cluster layer encodes them concurrently with serving
+// for per-view replication and anti-entropy re-pushes.
 func (s *MiningService) GroupViewModels(group string) ([]GroupViewModel, error) {
 	sh, err := s.shard(group)
 	if err != nil {
@@ -944,7 +883,7 @@ func (s *MiningService) GroupViewModels(group string) ([]GroupViewModel, error) 
 	}
 	out := make([]GroupViewModel, len(sh.views))
 	for i, v := range sh.views {
-		out[i] = GroupViewModel{Level: sh.wireLevel(v), Model: *v.model.Load()}
+		out[i] = GroupViewModel{Level: v.level, Model: *v.model.Load()}
 	}
 	return out, nil
 }
@@ -1059,18 +998,16 @@ func (s *MiningService) route(req *serviceWire, from string) (*modelShard, *serv
 				Code: codeNotMember, Err: fmt.Sprintf("peer %q is not group %q's sync source", from, group)})
 		}
 		// The blob must name a view the group serves; view 0 installs to
-		// the primary view (stamped here so installSync need not re-resolve,
-		// but only on explicit multi-level groups — implicit groups keep
-		// their frames untouched).
-		if req.View != 0 && sh.viewAt(req.View) == nil {
+		// the primary view (stamped here so installSync need not re-resolve).
+		if req.View == 0 {
+			req.View = sh.primary().level
+		}
+		if sh.viewAt(req.View) == nil {
 			sh.mSyncRejects.Inc()
 			sh.mUnknownView.Inc()
 			return nil, suppressForSync(req, &serviceWire{
 				ID: req.ID, Kind: req.Kind, Group: req.Group, View: req.View, Response: true,
 				Code: codeUnknownView, Err: fmt.Sprintf("group %q has no view %d", group, req.View)})
-		}
-		if req.View == 0 && sh.explicitViews {
-			req.View = sh.primary().level
 		}
 		return sh, nil
 	}
@@ -1535,10 +1472,10 @@ func (sh *modelShard) refit(job refitJob) bool {
 		return fail(fmt.Sprintf("protocol: refit group %q views: %v", sh.id, err))
 	}
 	fresh := make([]classify.Classifier, len(sh.views))
-	for i, v := range sh.views {
+	for i := range sh.views {
 		var model classify.Classifier
-		if v.newModel != nil {
-			model = v.newModel()
+		if sh.newModel != nil {
+			model = sh.newModel()
 		}
 		if model == nil {
 			return fail(fmt.Sprintf("protocol: refit group %q model: factory returned nil", sh.id))
@@ -1567,7 +1504,7 @@ func (sh *modelShard) refit(job refitJob) bool {
 	metrics.Time(sh.mRefitNanos, start)
 	if sh.onSwap != nil {
 		for i, v := range sh.views {
-			sh.onSwap(sh.wireLevel(v), fresh[i])
+			sh.onSwap(v.level, fresh[i])
 		}
 	}
 	return true
@@ -1582,13 +1519,8 @@ func (sh *modelShard) refit(job refitJob) bool {
 // frame was fire-and-forget (ID 0) and expects no answer.
 func (sh *modelShard) installSync(req *serviceWire) *serviceWire {
 	resp := &serviceWire{ID: req.ID, Kind: kindModelSync, Group: req.Group, View: req.View, Response: true}
-	// route() already verified an explicit view exists and normalized view 0
-	// on multi-level groups; the primary fallback covers implicit groups
-	// (whose frames keep View 0 end to end).
+	// route() resolved view 0 and verified the view exists.
 	v := sh.viewAt(req.View)
-	if v == nil {
-		v = sh.primary()
-	}
 	if req.Seq <= v.syncSeq.Load() {
 		// Re-delivered or reordered frame: the newer model is already live,
 		// so this is an idempotent success, not an error.
@@ -1623,12 +1555,8 @@ func (sh *modelShard) installSync(req *serviceWire) *serviceWire {
 func (sh *modelShard) handle(req *serviceWire) *serviceWire {
 	sh.mRequests.Inc()
 	sh.mBatchSize.Observe(int64(len(req.Batch)))
-	// route() resolved and stamped the view; the primary fallback covers
-	// implicit groups, whose frames keep View 0 end to end.
+	// route() resolved and stamped the view.
 	view := sh.viewAt(req.View)
-	if view == nil {
-		view = sh.primary()
-	}
 	view.mRequests.Inc()
 	resp := &serviceWire{ID: req.ID, Kind: req.Kind, Group: req.Group, View: req.View, Response: true}
 	if len(req.Batch) == 0 {
@@ -1825,21 +1753,18 @@ func (s *MiningService) listGroups() []AdminGroupInfo {
 			Workers:    sh.workers,
 			MaxBatch:   lim.maxBatch,
 			RefitEvery: lim.refitEvery,
-			QueueDepth: sh.queueDepth,
 			Members:    sortedMembers(lim.members),
 			SyncFrom:   sh.leader(),
 			Float32:    sh.f32,
 			Quota:      lim.quotaCfg,
 			Ingested:   sh.ingested.Load(),
 		}
-		if sh.explicitViews {
-			for _, v := range sh.views {
-				info.Views = append(info.Views, AdminViewInfo{
-					Level:      v.level,
-					NoiseSigma: v.sigma,
-					Members:    sortedMembers(*v.members.Load()),
-				})
-			}
+		for _, v := range sh.views {
+			info.Views = append(info.Views, AdminViewInfo{
+				Level:      v.level,
+				NoiseSigma: v.sigma,
+				Members:    sortedMembers(*v.members.Load()),
+			})
 		}
 		infos = append(infos, info)
 	}

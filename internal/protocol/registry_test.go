@@ -506,6 +506,49 @@ func TestRefitFailureKeepsServingAndRecovers(t *testing.T) {
 	}
 }
 
+// TestRefitRetryHealsWithoutIngest pins the failed-refit retry timer
+// (ServiceConfig.RefitRetry): once fits work again, the parked snapshot is
+// re-fitted with no further ingest to cross the cadence, and the staleness
+// it carried is retired.
+func TestRefitRetryHealsWithoutIngest(t *testing.T) {
+	net := transport.NewMemNetwork()
+	svcConn, _ := net.Endpoint("svc")
+	defer svcConn.Close()
+	cliConn, _ := net.Endpoint("cli")
+	defer cliConn.Close()
+
+	reg := metrics.NewRegistry()
+	flaky := newFlakyModel(classify.NewKNN(1))
+	_, stop := startGroupedService(t, svcConn,
+		[]GroupSpec{{ID: "alpha", Unified: labelledLine(t, 4), Model: flaky, RefitEvery: 2}},
+		ServiceConfig{Metrics: reg, RefitRetry: 20 * time.Millisecond})
+	defer stop()
+
+	client, err := NewGroupServiceClient(cliConn, "svc", "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := testCtx(t)
+
+	flaky.failing.Store(true)
+	if _, err := client.PushChunk(ctx, [][]float64{{9.9}, {10.1}}, []int{7, 7}); err != nil {
+		t.Fatal(err)
+	}
+	waitForCounter(t, reg, "service.alpha.refit.errors", 1)
+	if got := reg.Snapshot().Gauges["service.alpha.staleness_records"]; got != 2 {
+		t.Fatalf("staleness_records after the failed refit = %d, want 2", got)
+	}
+	refits := reg.Snapshot().Counters["service.alpha.refit.count"]
+
+	// Heal fits and push nothing more: only the retry timer can refit.
+	flaky.failing.Store(false)
+	waitForCounter(t, reg, "service.alpha.refit.retries", 1)
+	waitForCounter(t, reg, "service.alpha.refit.count", refits+1)
+	waitForGauge(t, reg, "service.alpha.staleness_records", 0)
+	waitForLabel(t, ctx, client, []float64{10.0}, 7)
+}
+
 // TestGroupedServiceValidation covers the registry's construction-time
 // rejections.
 func TestGroupedServiceValidation(t *testing.T) {
@@ -529,6 +572,55 @@ func TestGroupedServiceValidation(t *testing.T) {
 		if _, err := NewGroupedMiningService(conn, groups, ServiceConfig{}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
 		}
+	}
+}
+
+// TestViewInstancesComeFromTheGroupModel pins where a group's view models
+// come from: the group's own model serves level 1, every further view needs
+// a fresh instance from NewModel or a classify.Cloner model — refits or not
+// — and a group without Views is one level-1 view.
+func TestViewInstancesComeFromTheGroupModel(t *testing.T) {
+	net := transport.NewMemNetwork()
+	conn, err := net.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	d := labelledLine(t, 4)
+	views := []ViewSpec{{Level: 1}, {Level: 2, NoiseSigma: 0.1}}
+	// Embedding the interface hides KNN's Clone method.
+	opaque := func() classify.Classifier { return struct{ classify.Classifier }{classify.NewKNN(1)} }
+	modelA, modelB := opaque(), opaque()
+
+	_, err = NewGroupedMiningService(conn, []GroupSpec{
+		{ID: "a", Unified: d, Model: modelA, RefitEvery: -1, Views: views}}, ServiceConfig{})
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("two views of an uncloneable model without NewModel: err = %v, want ErrBadConfig", err)
+	}
+
+	svc, err := NewGroupedMiningService(conn, []GroupSpec{
+		{ID: "a", Unified: d, Model: modelA, RefitEvery: -1, Views: views, NewModel: opaque},
+		{ID: "b", Unified: d, Model: modelB, RefitEvery: -1},
+	}, ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.GroupViewModels("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Level != 1 || got[1].Level != 2 {
+		t.Fatalf("group a views = %+v, want levels 1 and 2", got)
+	}
+	if got[0].Model != modelA || got[1].Model == modelA {
+		t.Fatal("level 1 must serve the group's own model and level 2 a fresh instance")
+	}
+	got, err = svc.GroupViewModels("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Level != 1 || got[0].Model != modelB {
+		t.Fatalf("group b views = %+v, want its own model at level 1", got)
 	}
 }
 

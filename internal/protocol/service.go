@@ -87,11 +87,11 @@ const serviceMagic = 0x53 // 'S'
 // ServiceWireVersion is the service frame version and the only one a peer
 // accepts. Every node runs the same binary, so no older peer exists to stay
 // compatible with: a frame stamped with any other byte — the retired
-// versions 1–8 included — is answered with a typed ErrWireVersion (its ID,
+// versions 1–9 included — is answered with a typed ErrWireVersion (its ID,
 // Kind and Group echoed when the body still decodes), never read under
 // different rules. Bump it whenever the frame layout or the meaning of a
 // field changes.
-const ServiceWireVersion = 9
+const ServiceWireVersion = 10
 
 // Wire error codes carried in service responses, mapped back to the typed
 // errors above by the client.
@@ -186,16 +186,8 @@ func isAdminControl(kind uint8) bool {
 // Exported frame-kind values for tools that inspect raw frames (the faultnet
 // test harness matches sync traffic by kind via InspectFrame).
 const (
-	KindClassify      = kindClassify
-	KindIngest        = kindIngest
-	KindRoutes        = kindRoutes
-	KindModelSync     = kindModelSync
-	KindSyncHello     = kindSyncHello
-	KindSyncState     = kindSyncState
-	KindAdminRegister = kindAdminRegister
-	KindAdminEvict    = kindAdminEvict
-	KindAdminUpdate   = kindAdminUpdate
-	KindAdminList     = kindAdminList
+	KindModelSync = kindModelSync
+	KindSyncHello = kindSyncHello
 )
 
 // RouteEntry is one row of the cluster routing table: the group's leader
@@ -233,10 +225,11 @@ type serviceWire struct {
 	// on clients of single-group services; the router maps it to
 	// DefaultGroup.
 	Group string
-	// View names the trust level the frame addresses within a multi-level
-	// group (GroupSpec.Views). Zero — the wire default, which gob omits —
-	// routes to the sender's highest-authorized view. On kindModelSync
-	// frames it names the view the blob installs to.
+	// View names the trust level the frame addresses within its group
+	// (GroupSpec.Views). On a request, zero routes to the sender's
+	// highest-authorized view; every response echoes the level that served
+	// it. On kindModelSync frames it names the view the blob installs to
+	// (zero: the group's primary view).
 	View int
 	// Batch carries the records, already transformed into the group's
 	// target space by the caller (providers know G_t; the miner never sees
@@ -417,14 +410,12 @@ type ServiceConfig struct {
 	// and answer discovery with an empty table.
 	RoutesFunc func() ([]RouteEntry, uint64)
 	// OnModelSwap, when set, is called after every successful background
-	// refit swap — once per trust view, with the group ID, the view's level
-	// and its freshly published classifier. Groups without explicit
-	// GroupSpec.Views report view 0 (their sole implicit view), so a
-	// replicator may stamp the reported value on sync frames verbatim:
-	// single-view groups keep their pre-view wire bytes. The cluster layer
-	// hooks it to replicate the new models to the group's read replicas. It
-	// runs on the group's refit goroutine, so it must not block; hand the
-	// model off and return.
+	// refit swap — once per trust view in ascending level order, with the
+	// group ID, the view's level and its freshly published classifier
+	// (groups without GroupSpec.Views report their one view as level 1).
+	// The cluster layer hooks it to replicate the new models to the group's
+	// read replicas. It runs on the group's refit goroutine, so it must not
+	// block; hand the model off and return.
 	OnModelSwap func(group string, view int, model classify.Classifier)
 	// OnSyncGossip, when set, receives every durability-gossip frame
 	// (kindSyncHello, kindSyncState) addressed to this service. The cluster
@@ -645,7 +636,7 @@ func (c *ServiceClient) Group() string { return c.group }
 func (c *ServiceClient) SetBackoff(b Backoff) { c.backoff = b }
 
 // SetView pins the trust level the client's classify and ingest frames
-// address within a multi-level group (GroupSpec.Views). Zero — the default —
+// address within the group (GroupSpec.Views). Zero — the default —
 // routes each frame to the caller's highest-authorized view; a level the
 // group does not serve answers ErrUnknownView, one the caller is not
 // admitted to answers ErrNotMember. Call it before issuing requests — it is
@@ -985,8 +976,8 @@ func responseErr(resp *serviceWire) error {
 // sender one failed send, never a blocked wait. seq must increase per group;
 // the follower ignores frames at or below its last installed sequence per
 // view, which makes re-sends and reordering idempotent. view names the trust
-// level the blob installs to (0 installs to the group's primary view, which
-// is the only view single-level groups have). covered is the leader ingest
+// level the blob installs to (0 installs to the group's primary view).
+// covered is the leader ingest
 // count the model's fit covers, installed alongside it so staleness can be
 // measured in records. The cluster layer's replication publisher is the
 // intended caller.

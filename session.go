@@ -141,8 +141,7 @@ type config struct {
 	quotaRate  float64
 	quotaBurst int
 	// views splits this session's serving group into an ordered multi-level
-	// trust view list (WithTrustViews); empty serves the classic single
-	// view.
+	// trust view list (WithTrustViews); empty serves one open level-1 view.
 	views []ViewConfig
 }
 
@@ -570,8 +569,8 @@ type ClientConfig struct {
 	Group string
 	// View pins the trust view (WithTrustViews level) the client's queries
 	// and pushes address. Zero — the default — routes each request to the
-	// client's highest-authorized view, which on single-view groups is the
-	// classic behavior. A level the group does not serve answers
+	// client's highest-authorized view (the only view of a group without
+	// WithTrustViews). A level the group does not serve answers
 	// ErrUnknownView; a served level whose member list excludes this client
 	// answers ErrNotMember.
 	View int

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/classify"
 	"repro/internal/protocol"
 )
 
@@ -22,15 +21,17 @@ type Group struct {
 	Session *Session
 	// Model is the classifier served to this group. Required; every group
 	// needs its own instance, models are never shared across groups. With
-	// refits enabled (the default), the model must either implement
-	// classify.Cloner — all classifiers constructed through the facade
-	// (NewKNN, NewSVM, NewNearestCentroid) do — or be paired with a
-	// NewModel factory, so background refits can fit a fresh instance and
-	// atomically swap it in without ever touching the serving one.
+	// refits enabled (the default) or more than one trust view, the model
+	// must either implement classify.Cloner — all classifiers constructed
+	// through the facade (NewKNN, NewSVM, NewNearestCentroid) do — or be
+	// paired with a NewModel factory, so every view and every background
+	// refit can fit a fresh instance and atomically swap it in without ever
+	// touching the serving one.
 	Model Classifier
 	// NewModel optionally returns a fresh, unfitted classifier with the
 	// same configuration as Model. Required for custom classifiers that do
-	// not implement classify.Cloner when refits are enabled.
+	// not implement classify.Cloner when refits are enabled or the group
+	// serves more than one trust view.
 	NewModel func() Classifier
 	// Members optionally restricts the group to the named transport
 	// endpoints: peers outside the list are answered with ErrNotMember.
@@ -70,32 +71,17 @@ func (s *Session) ServeGroups(ctx context.Context, conn Conn, model Classifier, 
 	return ServeGroups(ctx, conn, append([]Group{{Session: s, Model: model}}, more...)...)
 }
 
-// viewSpecs expands one group's WithTrustViews list into protocol view
-// specs, giving every view its own classifier instances derived from the
-// group's prototype: the NewModel factory when the group carries one, a
-// Cloner clone otherwise. Option-level validation (levels, sigmas) already
-// ran in WithTrustViews; here only the instance question can fail.
-func viewSpecs(id string, g Group, views []ViewConfig) ([]protocol.ViewSpec, error) {
-	cloner, _ := g.Model.(classify.Cloner)
-	if g.NewModel == nil && cloner == nil {
-		return nil, fmt.Errorf("%w: group %q uses trust views but its model is not a classify.Cloner and has no NewModel factory; every view needs its own instance",
-			ErrBadInput, id)
-	}
-	out := make([]protocol.ViewSpec, 0, len(views))
+// protocolViews maps WithTrustViews entries to protocol view specs.
+func protocolViews(views []ViewConfig) []protocol.ViewSpec {
+	var out []protocol.ViewSpec
 	for _, v := range views {
-		vs := protocol.ViewSpec{
+		out = append(out, protocol.ViewSpec{
 			Level:      v.Level,
 			NoiseSigma: v.NoiseSigma,
 			Members:    append([]string(nil), v.Members...),
-		}
-		if g.NewModel != nil {
-			vs.NewModel = g.NewModel
-		} else {
-			vs.Model = cloner.Clone()
-		}
-		out = append(out, vs)
+		})
 	}
-	return out, nil
+	return out
 }
 
 // groupSpecs validates the facade groups and maps them to protocol specs.
@@ -140,17 +126,7 @@ func groupSpecs(groups []Group) ([]protocol.GroupSpec, protocol.ServiceConfig, e
 				Burst:         g.Session.cfg.quotaBurst,
 			},
 		}
-		if views := g.Session.cfg.views; len(views) > 0 {
-			vs, err := viewSpecs(spec.ID, g, views)
-			if err != nil {
-				return nil, cfg, err
-			}
-			// Each view brings its own model instances; the group-level
-			// prototype moves into the view list (GroupSpec.Views requires
-			// the group-level Model/NewModel to be nil).
-			spec.Model, spec.NewModel = nil, nil
-			spec.Views = vs
-		}
+		spec.Views = protocolViews(g.Session.cfg.views)
 		specs = append(specs, spec)
 	}
 	// Workers, MaxBatch and RefitEvery are per group: each session's
