@@ -65,10 +65,12 @@
 //     and drift re-derivations — exportable as a JSON snapshot
 //     (Metrics.Snapshot, or over HTTP via sapnode -metrics-addr, which
 //     also answers /healthz liveness probes).
-//   - One service wire version (v10): every node runs the same binary, so
+//   - One service wire version (v11): every node runs the same binary, so
 //     a frame carries a single version byte and no capability negotiation;
 //     a frame stamped with any other version is refused, typed. Every
-//     classify, ingest and sync frame names the trust view it addresses.
+//     classify and ingest frame names the trust view it addresses; a model
+//     sync carries a group's whole fit round, every view in one frame, and
+//     installs all of it or none.
 //     WithFloat32Payloads halves record payloads (float32 packing, ~7
 //     significant digits — far inside the perturbation noise floor) from
 //     the first frame, since every peer decodes both widths. Encode buffers

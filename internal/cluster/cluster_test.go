@@ -228,6 +228,11 @@ func TestClusterReplicationConvergence(t *testing.T) {
 			t.Fatalf("post-refit classify at %s = %v, %v; want [53]", node, got, err)
 		}
 	}
+	// The follower can install the publish before the leader's send has
+	// returned and counted it; wait for the count before checking it.
+	waitFor(t, "leader counts the publish", func() bool {
+		return counterOf(reg1, "cluster.sync_published")+counterOf(reg1, "cluster.sync_errors") >= 1
+	})
 	if n := counterOf(reg1, "cluster.sync_published"); n != 1 {
 		t.Fatalf("cluster.sync_published = %d, want 1", n)
 	}
@@ -411,11 +416,22 @@ type syncSniffer struct {
 	transport.Conn
 	mu    sync.Mutex
 	syncs map[string][][]byte
+	// drop, when set, is offered every model-sync frame and discards the
+	// first one it matches — Send then reports success, as a lossy link
+	// would — before it is cleared. Discarded frames are not recorded.
+	drop    func(info protocol.FrameInfo) bool
+	dropped int
 }
 
 func (c *syncSniffer) Send(ctx context.Context, to string, payload []byte) error {
 	if info, ok := protocol.InspectFrame(payload); ok && info.Kind == protocol.KindModelSync {
 		c.mu.Lock()
+		if c.drop != nil && c.drop(info) {
+			c.drop = nil
+			c.dropped++
+			c.mu.Unlock()
+			return nil
+		}
 		c.syncs[to] = append(c.syncs[to], append([]byte(nil), payload...))
 		c.mu.Unlock()
 	}

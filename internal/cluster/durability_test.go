@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -23,26 +22,13 @@ import (
 // (sequence handshake), partitions (anti-entropy), frame duplication and
 // reordering (install idempotency) and leader silence (failover).
 
-// reserveAddr picks a free loopback port and releases it, so a node can bind
-// the same address on every restart while its peers keep their cached
-// address books.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// chaosNode is one fixture node: the reserved address it rebinds on every
-// boot, the fault proxy peers dial instead, the Proc controlling its
-// lifecycle, and the current incarnation's Node and metrics registry.
+// chaosNode is one fixture node: the fault proxy peers dial instead of the
+// node, the Proc controlling its lifecycle, and the current incarnation's
+// Node and metrics registry. Each incarnation listens on a fresh port and
+// re-points the proxy at it, so peers keep one cached address — the
+// proxy's — across restarts, and no port is ever released and re-bound.
 type chaosNode struct {
 	name  string
-	addr  string
 	proxy *faultnet.Proxy
 	proc  *faultnet.Proc
 
@@ -63,8 +49,8 @@ func (cn *chaosNode) current() *Node {
 	return cn.node
 }
 
-// chaos is the TCP cluster fixture. Every node listens on its own reserved
-// address with a faultnet proxy in front; all node-to-node and
+// chaos is the TCP cluster fixture. Every node listens on its own port
+// with a faultnet proxy in front; all node-to-node and
 // client-to-node traffic flows through the destination's proxy, so any
 // node's inbound link can be shaped or cut. Responses to clients flow
 // direct (the transport answers on a fresh dial to the requester's own
@@ -87,13 +73,12 @@ func newChaos(t *testing.T, table *Table, names []string, specs func() []protoco
 	c := &chaos{t: t, table: table, specs: specs, svc: svc, ae: ae, grace: grace,
 		order: names, nodes: make(map[string]*chaosNode), extra: make(map[string]string)}
 	for _, name := range names {
-		addr := reserveAddr(t)
-		proxy, err := faultnet.Listen(addr)
+		proxy, err := faultnet.Listen("")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { proxy.Close() })
-		cn := &chaosNode{name: name, addr: addr, proxy: proxy}
+		cn := &chaosNode{name: name, proxy: proxy}
 		cn.proc = &faultnet.Proc{Boot: c.bootFor(cn)}
 		c.nodes[name] = cn
 	}
@@ -102,7 +87,7 @@ func newChaos(t *testing.T, table *Table, names []string, specs func() []protoco
 
 func (c *chaos) bootFor(cn *chaosNode) faultnet.BootFunc {
 	return func() (func(context.Context) error, func(), error) {
-		conn, err := transport.NewTCPNode(cn.name, cn.addr, nil)
+		conn, err := transport.NewTCPNode(cn.name, "127.0.0.1:0", nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -126,6 +111,7 @@ func (c *chaos) bootFor(cn *chaosNode) faultnet.BootFunc {
 		cn.mu.Lock()
 		cn.node, cn.reg = node, reg
 		cn.mu.Unlock()
+		cn.proxy.SetTarget(conn.Addr())
 		return func(ctx context.Context) error { return node.Serve(ctx) },
 			func() { _ = conn.Close() }, nil
 	}
@@ -147,12 +133,11 @@ func (c *chaos) startAll() {
 // Call before startAll so nodes learn the peer's address at boot.
 func (c *chaos) peer(name string) *transport.TCPNode {
 	c.t.Helper()
-	addr := reserveAddr(c.t)
-	c.extra[name] = addr
-	conn, err := transport.NewTCPNode(name, addr, nil)
+	conn, err := transport.NewTCPNode(name, "127.0.0.1:0", nil)
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	c.extra[name] = conn.Addr()
 	c.t.Cleanup(func() { _ = conn.Close() })
 	for _, other := range c.order {
 		conn.AddPeer(other, c.nodes[other].proxy.Addr())

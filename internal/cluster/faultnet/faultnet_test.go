@@ -100,6 +100,30 @@ func TestProxyRelaysFrames(t *testing.T) {
 	}
 }
 
+// TestProxySetTarget re-points a proxy the way a restarted node does: a
+// target-less proxy refuses relays, and after each SetTarget the next
+// connection reaches the new target.
+func TestProxySetTarget(t *testing.T) {
+	p, err := Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	refused := dialProxy(t, p)
+	_ = refused.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := refused.Read(make([]byte, 1)); err == nil {
+		t.Fatal("a proxy without a target kept the connection open")
+	}
+	for _, frame := range []string{"first", "second"} {
+		srv := startCollector(t)
+		p.SetTarget(srv.addr())
+		send(t, dialProxy(t, p), []byte(frame))
+		if got := recvFrame(t, srv); string(got) != frame {
+			t.Fatalf("relayed frame = %q, want %q", got, frame)
+		}
+	}
+}
+
 func TestProxyHookVerdicts(t *testing.T) {
 	srv := startCollector(t)
 	p, err := Listen(srv.addr())

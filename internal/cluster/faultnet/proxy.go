@@ -1,6 +1,6 @@
 // Package faultnet is a fault-injection harness for cluster tests: a
 // frame-aware TCP proxy that sits in front of a node's listener and can
-// drop, duplicate, reorder, delay and sever the traffic flowing through it,
+// drop, duplicate, reorder and sever the traffic flowing through it,
 // plus a kill/restart helper for in-process nodes. Together they script the
 // outages the cluster durability machinery exists for — leader crashes,
 // network partitions, lossy and reordering links — inside ordinary Go
@@ -65,16 +65,15 @@ const (
 type Hook func(dir Dir, frame []byte) Verdict
 
 // Proxy is one fault-injectable TCP relay: it listens on its own loopback
-// port and forwards whole frames to a fixed target address, dialing the
-// target per accepted connection. Point peers at Addr() instead of the
-// node's real address and every frame to the node becomes interceptable.
+// port and forwards whole frames to its target address, dialing the target
+// per accepted connection. Point peers at Addr() instead of the node's real
+// address and every frame to the node becomes interceptable.
 type Proxy struct {
-	target string
-	ln     net.Listener
+	ln net.Listener
 
 	mu          sync.Mutex
+	target      string
 	hook        Hook
-	delay       time.Duration
 	partitioned bool
 	conns       map[net.Conn]struct{} // both sides of every live relay
 	held        map[net.Conn]struct{} // blackholed accepts while partitioned
@@ -86,7 +85,8 @@ type Proxy struct {
 }
 
 // Listen starts a proxy on a fresh loopback port relaying to target
-// (host:port). The caller must Close it.
+// (host:port; empty refuses every relay until SetTarget names one). The
+// caller must Close it.
 func Listen(target string) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,10 +115,12 @@ func (p *Proxy) SetHook(h Hook) {
 	p.mu.Unlock()
 }
 
-// SetDelay sleeps every forwarded frame by d (0 restores full speed).
-func (p *Proxy) SetDelay(d time.Duration) {
+// SetTarget re-points the proxy at a new target address, for a node that
+// listens on a fresh port each time it boots. Live relays keep their old
+// target; the next accepted connection dials the new one.
+func (p *Proxy) SetTarget(target string) {
 	p.mu.Lock()
-	p.delay = d
+	p.target = target
 	p.mu.Unlock()
 }
 
@@ -207,9 +209,10 @@ func (p *Proxy) acceptLoop() {
 			p.mu.Unlock()
 			continue
 		}
+		target := p.target
 		p.mu.Unlock()
 
-		dst, err := net.DialTimeout("tcp", p.target, 2*time.Second)
+		dst, err := net.DialTimeout("tcp", target, 2*time.Second)
 		if err != nil {
 			// Target down: refuse the relay immediately so the peer's send
 			// fails fast instead of hanging.
@@ -251,14 +254,11 @@ func (p *Proxy) pump(dir Dir, src, dst net.Conn) {
 			return
 		}
 		p.mu.Lock()
-		hook, delay := p.hook, p.delay
+		hook := p.hook
 		p.mu.Unlock()
 		verdict := Pass
 		if hook != nil {
 			verdict = hook(dir, frame)
-		}
-		if delay > 0 {
-			time.Sleep(delay)
 		}
 		switch verdict {
 		case Drop:

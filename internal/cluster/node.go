@@ -43,10 +43,9 @@ type NodeConfig struct {
 	Name string
 	// Conn is the node's transport endpoint (its name must match Name so
 	// peers' replies and the replicas' SyncFrom authorization line up).
-	// Required. Both built-in transports (in-memory and TCP) are safe for the
-	// concurrent senders a node runs: the serving loop's responder, the
-	// leader's replication publisher and the durability syncer share this
-	// conn.
+	// Required. The service's responding goroutines, the leader's
+	// replication publisher and the durability syncer share this conn
+	// concurrently, as transport.Conn.Send allows.
 	Conn transport.Conn
 	// Table is the cluster routing table. Every node must be constructed from
 	// the same table (rendezvous tables guarantee this by derivation);
@@ -199,9 +198,9 @@ type Node struct {
 	// goes out, before the send returns, so no replica can have installed
 	// a repair this count still misses (a failed one also counts under
 	// mSyncErrors).
-	mSyncPublished metrics.Counter // model syncs sent for a publish (one per replica per view per fit)
+	mSyncPublished metrics.Counter // sync frames sent for a publish (one per replica per fit round)
 	mSyncErrors    metrics.Counter // encode or send failures while replicating
-	mAEPushes      metrics.Counter // model syncs sent to repair a lagging replica
+	mAEPushes      metrics.Counter // sync frames sent to repair a lagging replica
 	mPromotions    metrics.Counter // groups this node assumed leadership of
 	mDemotions     metrics.Counter // led groups a higher-epoch row took away
 	mFloors        metrics.Counter // led groups whose numbering a replica state floored
@@ -624,9 +623,8 @@ func (n *Node) replicate(ctx context.Context) {
 			st.dirty = false
 			st.seq++
 			st.covered = max(st.covered, st.swapCov)
-			// One sequence covers the whole fit round: every view advances
-			// together, and the replica's per-view install guards treat the
-			// shared number independently.
+			// One sequence covers the whole fit round, which travels as
+			// one frame per replica.
 			st.modelSeq, st.modelCov = st.seq, st.covered
 			job.to, job.publish, job.lagMark = st.row.Replicas, true, st.swapCov
 		} else {
@@ -655,47 +653,47 @@ func (n *Node) replicate(ctx context.Context) {
 	}
 }
 
-// send encodes the group's served models once per view and sends each to
-// the job's replicas at the job's sequence, counting every send under
-// cluster.sync_published or cluster.anti_entropy_pushes by why the replica
-// was owed (see mSyncPublished for when each counts). Encode and send
-// failures are counted and dropped — the next refit publishes fresher
-// models anyway, anti-entropy repairs a replica that stays behind, and the
-// lag gauge stays elevated until a publish lands everywhere.
+// send encodes the group's served fit round once — every view, in level
+// order — and sends it to each of the job's replicas as one frame at the
+// job's sequence, counting every frame under cluster.sync_published or
+// cluster.anti_entropy_pushes by why the replica was owed (see
+// mSyncPublished for when each counts). Encode and send failures are
+// counted and dropped — the next refit publishes fresher models anyway,
+// anti-entropy repairs a replica that stays behind, and the lag gauge stays
+// elevated until a publish lands everywhere.
 func (n *Node) send(ctx context.Context, j syncJob) {
 	views, err := n.svc.GroupViewModels(j.group)
 	if err != nil {
 		return // evicted since the drain
 	}
+	blobs := make([][]byte, len(views))
+	for i, vm := range views {
+		if blobs[i], err = encodeSyncModel(vm.Model, j.f32); err != nil {
+			n.mSyncErrors.Inc()
+			return
+		}
+	}
 	allSent := true
-	for _, vm := range views {
-		blob, err := encodeSyncModel(vm.Model, j.f32)
+	for _, replica := range j.to {
+		if !j.publish {
+			n.mAEPushes.Inc()
+		}
+		sctx, cancel := context.WithTimeout(ctx, syncSendTimeout)
+		err := protocol.SendModelSync(sctx, n.conn, replica, j.group, j.seq, j.cov, blobs)
+		cancel()
 		if err != nil {
 			n.mSyncErrors.Inc()
 			allSent = false
 			continue
 		}
-		for _, replica := range j.to {
-			if !j.publish {
-				n.mAEPushes.Inc()
-			}
-			sctx, cancel := context.WithTimeout(ctx, syncSendTimeout)
-			err := protocol.SendModelSync(sctx, n.conn, replica, j.group, vm.Level, j.seq, j.cov, blob)
-			cancel()
-			if err != nil {
-				n.mSyncErrors.Inc()
-				allSent = false
-				continue
-			}
-			if j.publish {
-				n.mSyncPublished.Inc()
-			}
-			n.mu.Lock()
-			if st, ok := n.groups[j.group]; ok {
-				st.lastSync[replica] = time.Now()
-			}
-			n.mu.Unlock()
+		if j.publish {
+			n.mSyncPublished.Inc()
 		}
+		n.mu.Lock()
+		if st, ok := n.groups[j.group]; ok {
+			st.lastSync[replica] = time.Now()
+		}
+		n.mu.Unlock()
 	}
 	if allSent && j.publish {
 		n.mu.Lock()

@@ -39,17 +39,3 @@ func Cholesky(a *Dense) (*Dense, error) {
 	}
 	return l, nil
 }
-
-// ConditionNumber estimates the 2-norm condition number κ₂(A) = σ_max/σ_min
-// via the Jacobi SVD. Returns +Inf for singular matrices.
-func ConditionNumber(a *Dense) (float64, error) {
-	res, err := SVD(a)
-	if err != nil {
-		return 0, err
-	}
-	min := res.Sigma[len(res.Sigma)-1]
-	if min == 0 {
-		return math.Inf(1), nil
-	}
-	return res.Sigma[0] / min, nil
-}

@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,34 +75,6 @@ func TestPropCholeskyReconstruction(t *testing.T) {
 		return l.Mul(l.T()).EqualApprox(a, 1e-8)
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(7))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConditionNumber(t *testing.T) {
-	if k, err := ConditionNumber(Identity(4)); err != nil || math.Abs(k-1) > 1e-9 {
-		t.Fatalf("κ(I) = %v, %v; want 1", k, err)
-	}
-	d := Diagonal([]float64{10, 1, 0.1})
-	if k, err := ConditionNumber(d); err != nil || math.Abs(k-100) > 1e-6 {
-		t.Fatalf("κ(diag) = %v, %v; want 100", k, err)
-	}
-	sing := NewFromRows([][]float64{{1, 1}, {1, 1}})
-	k, err := ConditionNumber(sing)
-	if err != nil || !math.IsInf(k, 1) {
-		t.Fatalf("κ(singular) = %v, %v; want +Inf", k, err)
-	}
-}
-
-func TestPropOrthogonalConditionNumberIsOne(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := RandomOrthogonal(rng, 2+rng.Intn(5))
-		k, err := ConditionNumber(q)
-		return err == nil && math.Abs(k-1) < 1e-7
-	}
-	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(8))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}

@@ -391,19 +391,6 @@ func TestRandomOrthogonal(t *testing.T) {
 	}
 }
 
-func TestRandomRotationProper(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 20; i++ {
-		r := RandomRotation(rng, 4)
-		if r.Det() < 0 {
-			t.Fatalf("iteration %d: rotation has negative determinant", i)
-		}
-		if !r.IsOrthogonal(1e-10) {
-			t.Fatalf("iteration %d: not orthogonal", i)
-		}
-	}
-}
-
 func TestApplyGivensLeftPreservesOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	q := RandomOrthogonal(rng, 5)

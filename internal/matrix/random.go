@@ -39,15 +39,3 @@ func RandomOrthogonal(rng *rand.Rand, n int) *Dense {
 	}
 	return q
 }
-
-// RandomRotation returns an n-by-n proper rotation (orthogonal with
-// determinant +1). If the Haar draw is a reflection, one column is negated.
-func RandomRotation(rng *rand.Rand, n int) *Dense {
-	q := RandomOrthogonal(rng, n)
-	if q.Det() < 0 {
-		for i := 0; i < n; i++ {
-			q.Set(i, 0, -q.At(i, 0))
-		}
-	}
-	return q
-}

@@ -83,7 +83,7 @@ func BenchmarkWireBytes(b *testing.B) {
 			model = packedModel
 		}
 		sync := &serviceWire{Kind: kindModelSync, Group: "alpha", Seq: 3,
-			Covered: 256, Model: model}
+			Covered: 256, Models: [][]byte{model}}
 		b.Run(fmt.Sprintf("modelsync/%s", v.name), func(b *testing.B) {
 			var size int
 			for i := 0; i < b.N; i++ {

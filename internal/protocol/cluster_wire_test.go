@@ -174,13 +174,13 @@ func TestModelSyncInstall(t *testing.T) {
 	ctx := testCtx(t)
 
 	// Seq 1 from the leader: the served model becomes "always 7".
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 7)); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 1, 0, [][]byte{encodeFittedKNN(t, 0.5, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	waitForLabel(t, ctx, client, []float64{0.5}, 7)
 
 	// Replayed seq 1 with a different model: ignored, model stays at 7.
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 8)); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 1, 0, [][]byte{encodeFittedKNN(t, 0.5, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 1)
@@ -189,7 +189,7 @@ func TestModelSyncInstall(t *testing.T) {
 	}
 
 	// A peer that is not the sync source cannot install, whatever the seq.
-	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 0, 9, 0, encodeFittedKNN(t, 0.5, 9)); err != nil {
+	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 9, 0, [][]byte{encodeFittedKNN(t, 0.5, 9)}); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 2)
@@ -198,7 +198,7 @@ func TestModelSyncInstall(t *testing.T) {
 	}
 
 	// Seq 2 from the leader advances the model.
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 2, 0, encodeFittedKNN(t, 0.5, 8)); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 2, 0, [][]byte{encodeFittedKNN(t, 0.5, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	waitForLabel(t, ctx, client, []float64{0.5}, 8)
@@ -235,13 +235,78 @@ func TestModelSyncBadBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 0, []byte{0xFF, 0x00, 0x01}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 1, 0, [][]byte{{0xFF, 0x00, 0x01}}); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 1)
 	after, err := client.Classify(ctx, []float64{0.0})
 	if err != nil || after != before {
 		t.Fatalf("after bad blob: label, err = %d, %v; want %d, nil", after, err, before)
+	}
+}
+
+// TestModelSyncInstallsWholeRound checks a two-view replica installs a
+// sync frame's fit round all or nothing: a frame with one blob too few, or
+// with an undecodable blob behind a good one, is refused whole and leaves
+// both views as they were; a complete frame swaps both views in at once.
+func TestModelSyncInstallsWholeRound(t *testing.T) {
+	net := transport.NewMemNetwork()
+	repConn, _ := net.Endpoint("replica")
+	defer repConn.Close()
+	leaderConn, _ := net.Endpoint("leader")
+	defer leaderConn.Close()
+	cliConn, _ := net.Endpoint("cli")
+	defer cliConn.Close()
+
+	reg := metrics.NewRegistry()
+	_, stop := startGroupedService(t, repConn, []GroupSpec{{
+		ID: "alpha", Unified: labelledLine(t, 4), Model: classify.NewKNN(1), SyncFrom: "leader",
+		Views: []ViewSpec{{Level: 1}, {Level: 2}},
+	}}, ServiceConfig{Metrics: reg})
+	defer stop()
+	client, err := NewGroupServiceClient(cliConn, "replica", "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := testCtx(t)
+	labels := func() [2]int {
+		t.Helper()
+		var out [2]int
+		for i := range out {
+			client.SetView(i + 1)
+			label, err := client.Classify(ctx, []float64{0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = label
+		}
+		return out
+	}
+	before := labels()
+
+	short := [][]byte{encodeFittedKNN(t, 0.5, 7)}
+	torn := [][]byte{encodeFittedKNN(t, 0.5, 7), {0xFF, 0x00, 0x01}}
+	for i, models := range [][][]byte{short, torn} {
+		if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 1, 0, models); err != nil {
+			t.Fatal(err)
+		}
+		waitForCounter(t, reg, "service.alpha.sync.rejects", int64(i+1))
+		if got := labels(); got != before {
+			t.Fatalf("refused frame %d changed the views: %v, want %v", i, got, before)
+		}
+	}
+
+	whole := [][]byte{encodeFittedKNN(t, 0.5, 7), encodeFittedKNN(t, 0.5, 8)}
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 1, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	waitForCounter(t, reg, "service.alpha.sync.installs", 1)
+	if got := labels(); got != [2]int{7, 8} {
+		t.Fatalf("after the whole round: views answer %v, want [7 8]", got)
+	}
+	if got := reg.Snapshot().Gauges["service.alpha.sync.seq"]; got != 1 {
+		t.Fatalf("sync.seq = %d, want 1", got)
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	routesResp := &serviceWire{ID: 11, Kind: kindRoutes, Response: true,
 		Routes: []RouteEntry{{Group: "alpha", Node: "n1", Replicas: []string{"n2", "n3"}}, {Group: "beta", Node: "n2"}}}
 	modelSync := &serviceWire{Kind: kindModelSync, Group: "alpha", Seq: 4,
-		Model: []byte{'C', 0xde, 0xad, 0xbe, 0xef}}
+		Models: [][]byte{{'C', 0xde, 0xad, 0xbe, 0xef}}}
 	notLeader := &serviceWire{ID: 13, Kind: kindIngest, Group: "alpha", Response: true,
 		Code: codeNotLeader, Err: `group "alpha" is a read replica synced from "n1"`}
 	// The admin control plane, request and response shapes.
@@ -52,15 +52,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	quotaReject := &serviceWire{ID: 22, Kind: kindIngest, Group: "gamma", Response: true,
 		Code: codeQuota, Err: `group "gamma" ingest quota exhausted`}
 	// The multi-level trust surface (View rides the existing formats as a
-	// gob field, omitted when zero): view-stamped requests, per-view
-	// replication frames, view-carrying admin registrations and the typed
-	// unknown-view rejection.
+	// gob field, omitted when zero): view-stamped requests, a whole fit
+	// round's replication frame (one blob per view, in level order),
+	// view-carrying admin registrations and the typed unknown-view
+	// rejection.
 	viewClassify := &serviceWire{ID: 23, Group: "alpha", View: 2,
 		Batch: [][]float64{{0.25, 0.5}}}
 	viewIngest := &serviceWire{ID: 24, Kind: kindIngest, Group: "alpha", View: 3,
 		Batch: [][]float64{{0.1}}, Labels: []int{1}}
-	viewSync := &serviceWire{Kind: kindModelSync, Group: "alpha", View: 2, Seq: 6,
-		Model: []byte{'K', 0x03, 0x04}}
+	viewSync := &serviceWire{Kind: kindModelSync, Group: "alpha", Seq: 6, Covered: 12,
+		Models: [][]byte{{'K', 0x03, 0x04}, {'K', 0x05, 0x06}, {'K', 0x07}}}
 	viewRegister := &serviceWire{ID: 25, Kind: kindAdminRegister, Group: "delta",
 		Token: "tok", Spec: &AdminGroupSpec{ID: "delta", X: [][]float64{{0.5}}, Y: []int{1},
 			Model: []byte{'K', 0x05},
@@ -84,7 +85,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		viewClassify, viewIngest, viewSync, viewRegister, unknownView} {
 		f.Add(seed(w, ServiceWireVersion))
 		f.Add(packed(w))
-		// The retired versions 1–9 must be refused, never read.
+		// The retired versions 1–10 must be refused, never read.
 		for version := byte(1); version < ServiceWireVersion; version++ {
 			f.Add(seed(w, version))
 		}
@@ -107,6 +108,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	regFrame := seed(adminRegister, ServiceWireVersion)
 	f.Add(regFrame[:len(regFrame)/2]) // truncated admin register
 	f.Add(regFrame[:len(regFrame)-1]) // admin register missing a byte
+	syncFrame := seed(viewSync, ServiceWireVersion)
+	f.Add(syncFrame[:len(syncFrame)-2]) // sync frame torn inside its last blob
 	viewFrame := seed(viewRegister, ServiceWireVersion)
 	f.Add(viewFrame[:len(viewFrame)/2]) // truncated mid view list
 	f.Add(viewFrame[:len(viewFrame)-1]) // view register missing a byte
@@ -148,7 +151,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				w2.View != w.View ||
 				w2.Code != w.Code || w2.Response != w.Response || w2.Seq != w.Seq ||
 				len(w2.Batch) != len(w.Batch) || len(w2.Labels) != len(w.Labels) ||
-				len(w2.Routes) != len(w.Routes) || !bytes.Equal(w2.Model, w.Model) {
+				len(w2.Routes) != len(w.Routes) || !sameBlobs(w2.Models, w.Models) {
 				t.Fatalf("round trip changed the frame: %+v vs %+v", w, w2)
 			}
 		case errors.Is(err, ErrBadMessage):
@@ -157,4 +160,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("unexpected error class: %v", err)
 		}
 	})
+}
+
+// sameBlobs reports whether two blob lists hold the same bytes in the same
+// order.
+func sameBlobs(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -147,12 +147,13 @@ type ViewSpec struct {
 	Members []string
 }
 
-// modelShard is one group's independent serving state. The served model
-// lives behind an atomic pointer: prediction workers load it lock-free, and
-// the shard's refit goroutine — fed training-set snapshots by the ingest
-// goroutine — fits a *fresh* classifier instance off to the side and swaps
-// it in only on success, so the live model is never written while serving
-// and a failed fit cannot corrupt it. Each queue between the shared receive
+// modelShard is one group's independent serving state. The served fit round
+// — one model per view — lives behind one atomic pointer: prediction workers
+// load it lock-free, and the shard's refit goroutine — fed training-set
+// snapshots by the ingest goroutine — fits *fresh* classifier instances off
+// to the side and swaps the whole round in only on success, so the live
+// models are never written while serving and a failed fit cannot corrupt
+// them. Each queue between the shared receive
 // loop and the shard is bounded and fail-fast: when it is full, the frame
 // is answered with a typed busy rejection instead of stalling the loop.
 type modelShard struct {
@@ -174,16 +175,26 @@ type modelShard struct {
 	// SetGroupFollow) while the serve loop authorizes frames against it.
 	syncFrom atomic.Pointer[string]
 	// onSwap, when set, is called with each view's successfully refitted
-	// classifier right after its atomic publish (ServiceConfig.OnModelSwap,
-	// curried with the group ID). Runs on the refit goroutine.
+	// classifier right after the round's atomic publish
+	// (ServiceConfig.OnModelSwap, curried with the group ID). Runs on the
+	// refit goroutine.
 	onSwap func(level int, model classify.Classifier)
 
 	// views are the group's trust views in ascending level order; views[0]
 	// is the primary (highest-trust) view. Groups without GroupSpec.Views
 	// get one open view at level 1. The slice is fixed for the shard's
-	// lifetime; per-view mutable state (model, members, sync cursor) lives
-	// behind each view's own atomics.
+	// lifetime; a view's members ACL lives behind its own atomic.
 	views []*viewShard
+	// models is the served fit round: models[i] serves views[i]. A refit or
+	// an installed sync replaces the whole slice with one store, so every
+	// view advances together or none does, and a reader that loads it once
+	// never sees views from two rounds.
+	models atomic.Pointer[[]classify.Classifier]
+	// syncSeq / syncCovered are the group's replication cursor: the
+	// sequence and leader ingest coverage of the last installed sync. A
+	// promoted or restarted leader floors its numbering here (GroupSyncSeq).
+	syncSeq     atomic.Uint64
+	syncCovered atomic.Int64
 	// viewRng draws the correlated noise ladder for view fits,
 	// deterministically seeded from the group ID. Touched only during
 	// construction and then on the refit goroutine, strictly sequentially.
@@ -258,19 +269,19 @@ type modelShard struct {
 	mNotMember     metrics.Counter   // frames refused by the Members ACL
 	mBusy          metrics.Counter   // frames refused because a queue was full
 	mStaleness     metrics.Gauge     // records ingested but not in the live fit
-	mSyncInstalls  metrics.Counter   // model syncs installed (replicas only)
-	mSyncRejects   metrics.Counter   // model syncs refused (stale seq, bad blob)
+	mSyncInstalls  metrics.Counter   // sync frames installed (replicas only)
+	mSyncRejects   metrics.Counter   // sync frames refused (stale seq, bad blob, view count)
 	mSyncSeq       metrics.Gauge     // sequence of the last installed sync
 	mQuota         metrics.Counter   // ingest frames refused by the group quota
 	mRefitRetries  metrics.Counter   // failed refits re-attempted by the retry timer
 	mUnknownView   metrics.Counter   // frames addressing a view the group does not serve
 }
 
-// viewShard is one trust view's serving state within a group shard: its own
-// atomically published model and replication cursor, its own ACL on top of
-// the group's, and its slice of the group's correlated noise ladder. All
-// views share the group's training set, queues and refit cadence — a refit
-// fits every view from one coalesced snapshot.
+// viewShard is one trust view within a group shard: its level, its own ACL
+// on top of the group's, and its slice of the group's correlated noise
+// ladder. Its model sits at the view's index of the shard's fit round. All
+// views share the group's training set, queues, refit cadence and
+// replication cursor — a refit fits every view from one coalesced snapshot.
 type viewShard struct {
 	level int
 	sigma float64
@@ -279,20 +290,9 @@ type viewShard struct {
 	// while the receive loop resolves views lock-free. The stored pointer
 	// is never nil; the map it points to may be.
 	members atomic.Pointer[map[string]struct{}]
-	// model is the view's served classifier, published with
-	// store-only-on-success atomic discipline.
-	model atomic.Pointer[classify.Classifier]
-	// syncSeq / syncCovered are the view's replication cursor: each view
-	// replicates independently, and a promoted or restarted leader floors
-	// its numbering at the minimum across views (GroupSyncSeq).
-	syncSeq     atomic.Uint64
-	syncCovered atomic.Int64
-
-	// Per-view instruments under "service.<group>.view.<level>.".
-	mRequests     metrics.Counter // classify frames answered by this view
-	mRefits       metrics.Counter // refit publishes of this view's model
-	mSyncInstalls metrics.Counter // model syncs installed into this view
-	mSyncSeq      metrics.Gauge   // sequence of this view's last installed sync
+	// mRequests counts classify frames this view answered, under
+	// "service.<group>.view.<level>.requests".
+	mRequests metrics.Counter
 }
 
 // admits reports whether the named peer may address this view (on top of
@@ -353,15 +353,15 @@ func (sh *modelShard) applyUpdate(u *AdminUpdate) error {
 		}
 		pending := make([]viewACL, 0, len(u.ViewMembers))
 		for _, vm := range u.ViewMembers {
-			v := sh.viewAt(vm.Level)
-			if v == nil {
+			i := sh.viewAt(vm.Level)
+			if i < 0 {
 				return fmt.Errorf("group %q has no view %d", sh.id, vm.Level)
 			}
 			set, err := memberSet(sh.id, vm.Members)
 			if err != nil {
 				return err
 			}
-			pending = append(pending, viewACL{view: v, set: set})
+			pending = append(pending, viewACL{view: sh.views[i], set: set})
 		}
 		for _, p := range pending {
 			set := p.set
@@ -372,18 +372,16 @@ func (sh *modelShard) applyUpdate(u *AdminUpdate) error {
 	return nil
 }
 
-// primary returns the group's highest-trust view.
-func (sh *modelShard) primary() *viewShard { return sh.views[0] }
-
-// viewAt returns the view serving the given trust level, or nil. The view
-// list is tiny and fixed, so a linear scan beats any map on the hot path.
-func (sh *modelShard) viewAt(level int) *viewShard {
-	for _, v := range sh.views {
+// viewAt returns the index of the view serving the given trust level, or
+// -1. The view list is tiny and fixed, so a linear scan beats any map on the
+// hot path.
+func (sh *modelShard) viewAt(level int) int {
+	for i, v := range sh.views {
 		if v.level == level {
-			return v
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // resolveView normalizes a classify/ingest frame's View field to a concrete
@@ -401,39 +399,14 @@ func (sh *modelShard) resolveView(req *serviceWire, from string) (code uint8, ms
 		}
 		return codeNotMember, fmt.Sprintf("peer %q is not a member of any view of group %q", from, sh.id)
 	}
-	v := sh.viewAt(req.View)
-	if v == nil {
+	i := sh.viewAt(req.View)
+	if i < 0 {
 		return codeUnknownView, fmt.Sprintf("group %q has no view %d", sh.id, req.View)
 	}
-	if !v.admits(from) {
+	if !sh.views[i].admits(from) {
 		return codeNotMember, fmt.Sprintf("peer %q is not a member of view %d of group %q", from, req.View, sh.id)
 	}
 	return 0, ""
-}
-
-// minSyncSeq is the group's replication low-water mark: the smallest last
-// installed sync sequence across its views. A restarted leader flooring its
-// numbering here can never skip a view that lagged the others.
-func (sh *modelShard) minSyncSeq() uint64 {
-	min := sh.views[0].syncSeq.Load()
-	for _, v := range sh.views[1:] {
-		if s := v.syncSeq.Load(); s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// minSyncCovered is the smallest installed sync coverage across the group's
-// views, the conservative staleness base.
-func (sh *modelShard) minSyncCovered() int64 {
-	min := sh.views[0].syncCovered.Load()
-	for _, v := range sh.views[1:] {
-		if c := v.syncCovered.Load(); c < min {
-			min = c
-		}
-	}
-	return min
 }
 
 // memberSet builds a Members ACL lookup set; empty input means no ACL (nil).
@@ -602,7 +575,8 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: group %q views: %v", ErrBadConfig, spec.ID, err)
 	}
-	for i, v := range views {
+	models := make([]classify.Classifier, len(views))
+	for i := range views {
 		// The first view serves the group's own model; the rest serve fresh
 		// instances of it.
 		model := spec.Model
@@ -614,7 +588,7 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 		if err := model.Fit(viewSets[i]); err != nil {
 			return nil, fmt.Errorf("protocol: train group %q model: %w", spec.ID, err)
 		}
-		v.model.Store(&model)
+		models[i] = model
 	}
 	workers := spec.Workers
 	if workers == 0 {
@@ -661,12 +635,9 @@ func newModelShard(spec GroupSpec, cfg ServiceConfig) (*modelShard, error) {
 		mRefitRetries:  cfg.Metrics.Counter(ns + "refit.retries"),
 		mUnknownView:   cfg.Metrics.Counter(ns + "rejects.unknown_view"),
 	}
+	sh.models.Store(&models)
 	for _, v := range views {
-		vns := ns + "view." + strconv.Itoa(v.level) + "."
-		v.mRequests = cfg.Metrics.Counter(vns + "requests")
-		v.mRefits = cfg.Metrics.Counter(vns + "refit.count")
-		v.mSyncInstalls = cfg.Metrics.Counter(vns + "sync.installs")
-		v.mSyncSeq = cfg.Metrics.Gauge(vns + "sync.seq")
+		v.mRequests = cfg.Metrics.Counter(ns + "view." + strconv.Itoa(v.level) + ".requests")
 	}
 	sh.limits.Store(&shardLimits{
 		maxBatch:   maxBatch,
@@ -747,11 +718,8 @@ type MiningService struct {
 	order    []string // registration order, for Groups()
 	stopping bool     // set by shutdown; registers are refused past it
 
-	// out is the response channel into the single sender goroutine, set by
-	// Serve before any shard starts; admin goroutines respond through it.
-	out chan serviceOut
 	// adminWg tracks in-flight admin register/evict goroutines so shutdown
-	// waits them out before closing out.
+	// waits out their responses before Serve returns.
 	adminWg sync.WaitGroup
 
 	// mUnknownGroup counts frames addressed to groups this service does not
@@ -862,7 +830,7 @@ func (s *MiningService) GroupModel(group string) (classify.Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return *sh.primary().model.Load(), nil
+	return (*sh.models.Load())[0], nil
 }
 
 // GroupViewModel pairs one trust view's level with its currently served
@@ -872,44 +840,43 @@ type GroupViewModel struct {
 	Model classify.Classifier
 }
 
-// GroupViewModels returns every view's level and currently served
-// classifier in ascending level order. The instances are never mutated
-// after publish; the cluster layer encodes them concurrently with serving
-// for per-view replication and anti-entropy re-pushes.
+// GroupViewModels returns the group's served fit round: every view's level
+// and classifier in ascending level order, all from one round. The
+// instances are never mutated after publish; the cluster layer encodes them
+// concurrently with serving for replication and anti-entropy re-pushes.
 func (s *MiningService) GroupViewModels(group string) ([]GroupViewModel, error) {
 	sh, err := s.shard(group)
 	if err != nil {
 		return nil, err
 	}
+	models := *sh.models.Load()
 	out := make([]GroupViewModel, len(sh.views))
 	for i, v := range sh.views {
-		out[i] = GroupViewModel{Level: v.level, Model: *v.model.Load()}
+		out[i] = GroupViewModel{Level: v.level, Model: models[i]}
 	}
 	return out, nil
 }
 
 // GroupSyncSeq returns the sequence of the last model sync one group
-// installed across all of its views — the minimum per-view sequence, so a
-// view that lagged the others is never skipped (0 if none). A promoted or
-// restarted leader floors its own numbering at the sequences its replicas
-// report. Safe to call concurrently with Serve.
+// installed (0 if none). A promoted or restarted leader floors its own
+// numbering at the sequences its replicas report. Safe to call concurrently
+// with Serve.
 func (s *MiningService) GroupSyncSeq(group string) (uint64, error) {
 	sh, err := s.shard(group)
 	if err != nil {
 		return 0, err
 	}
-	return sh.minSyncSeq(), nil
+	return sh.syncSeq.Load(), nil
 }
 
 // GroupSyncCovered returns the leader ingest count the group's last
-// installed sync covered (the minimum across views). Safe to call
-// concurrently with Serve.
+// installed sync covered. Safe to call concurrently with Serve.
 func (s *MiningService) GroupSyncCovered(group string) (int64, error) {
 	sh, err := s.shard(group)
 	if err != nil {
 		return 0, err
 	}
-	return sh.minSyncCovered(), nil
+	return sh.syncCovered.Load(), nil
 }
 
 // SetGroupLead promotes one group's shard to leader at runtime: ingest is
@@ -965,12 +932,21 @@ type serviceJob struct {
 	req  *serviceWire
 }
 
-// serviceOut is one encoded response travelling from a worker to the single
-// sender goroutine (transport connections are not required to support
-// concurrent writers).
-type serviceOut struct {
-	to      string
-	payload []byte
+// reply encodes one response and sends it to its requester from the calling
+// goroutine — a prediction worker, an ingest lane, an admin goroutine or the
+// receive loop itself; transport.Conn.Send is safe for concurrent use. Each
+// write is bounded so one peer that stops reading cannot wedge its caller
+// forever: a timed-out connection is dropped by the transport and the
+// requester simply re-dials. The requester may also have gone away
+// entirely; either way, keep serving others.
+func (s *MiningService) reply(ctx context.Context, to string, resp *serviceWire) {
+	payload, err := encodeServiceWire(resp)
+	if err != nil {
+		return
+	}
+	sendCtx, cancel := context.WithTimeout(ctx, serviceSendTimeout)
+	_ = s.conn.Send(sendCtx, to, payload)
+	cancel()
 }
 
 // route resolves a request frame to its group's shard. A nil shard comes
@@ -996,18 +972,6 @@ func (s *MiningService) route(req *serviceWire, from string) (*modelShard, *serv
 			return nil, suppressForSync(req, &serviceWire{
 				ID: req.ID, Kind: req.Kind, Group: req.Group, Response: true,
 				Code: codeNotMember, Err: fmt.Sprintf("peer %q is not group %q's sync source", from, group)})
-		}
-		// The blob must name a view the group serves; view 0 installs to
-		// the primary view (stamped here so installSync need not re-resolve).
-		if req.View == 0 {
-			req.View = sh.primary().level
-		}
-		if sh.viewAt(req.View) == nil {
-			sh.mSyncRejects.Inc()
-			sh.mUnknownView.Inc()
-			return nil, suppressForSync(req, &serviceWire{
-				ID: req.ID, Kind: req.Kind, Group: req.Group, View: req.View, Response: true,
-				Code: codeUnknownView, Err: fmt.Sprintf("group %q has no view %d", group, req.View)})
 		}
 		return sh, nil
 	}
@@ -1058,48 +1022,20 @@ func suppressForSync(req, resp *serviceWire) *serviceWire {
 // stall another group's traffic. Refits triggered by ingest run on a
 // per-shard refit goroutine that fits a fresh model instance and atomically
 // swaps it in (see modelShard), so the ingest lane stays responsive during
-// even the slowest retrain. Responses funnel through one sender.
-// Malformed frames are answered with a typed error response (or dropped
-// when they cannot be attributed) rather than terminating the service.
+// even the slowest retrain. Whichever goroutine builds a response sends it
+// (see reply). Malformed frames are answered with a typed error response
+// (or dropped when they cannot be attributed) rather than terminating the
+// service.
 func (s *MiningService) Serve(ctx context.Context) error {
 	s.mu.Lock()
-	// One response-buffer slot per prediction goroutine across all pools,
-	// floored so runtime-registered shards (whose workers were unknown when
-	// the channel was sized) still get slack.
-	totalWorkers := 0
 	for _, sh := range s.shards {
-		totalWorkers += sh.workers
-	}
-	if totalWorkers < 64 {
-		totalWorkers = 64
-	}
-	s.out = make(chan serviceOut, totalWorkers)
-	out := s.out
-
-	var senderWg sync.WaitGroup
-	senderWg.Add(1)
-	go func() {
-		defer senderWg.Done()
-		for o := range out {
-			// Bound each response write so one peer that stops reading
-			// cannot wedge the sender (and with it every worker) forever;
-			// a timed-out connection is dropped by the transport and the
-			// requester simply re-dials. The requester may also have gone
-			// away entirely; either way, keep serving others.
-			sendCtx, cancel := context.WithTimeout(ctx, serviceSendTimeout)
-			_ = s.conn.Send(sendCtx, o.to, o.payload)
-			cancel()
-		}
-	}()
-
-	for _, sh := range s.shards {
-		s.startShard(sh)
+		s.startShard(ctx, sh)
 	}
 	s.mu.Unlock()
 
 	shutdown := func() {
-		// Refuse new admin registrations, then wait out in-flight ones (they
-		// respond through out, which is about to close).
+		// Refuse new admin registrations, then wait out in-flight ones and
+		// their responses.
 		s.mu.Lock()
 		s.stopping = true
 		s.mu.Unlock()
@@ -1113,12 +1049,11 @@ func (s *MiningService) Serve(ctx context.Context) error {
 		// Per-shard stop drains each ingest queue before closing the refit
 		// queue, so a scheduled refit still completes during shutdown —
 		// refit counts stay deterministic for callers that stop the service
-		// right after a push.
+		// right after a push — and waits out every worker, so each queued
+		// response has been sent before Serve returns.
 		for _, sh := range shards {
 			sh.stop()
 		}
-		close(out)
-		senderWg.Wait()
 	}
 
 	for {
@@ -1142,9 +1077,7 @@ func (s *MiningService) Serve(ctx context.Context) error {
 			if req != nil {
 				resp.ID, resp.Kind, resp.Group = req.ID, req.Kind, req.Group
 			}
-			if payload, encErr := encodeServiceWire(resp); encErr == nil {
-				out <- serviceOut{to: env.From, payload: payload}
-			}
+			s.reply(ctx, env.From, resp)
 			continue
 		case err != nil || req.Response:
 			continue // undecodable or stray response frame; drop
@@ -1159,11 +1092,8 @@ func (s *MiningService) Serve(ctx context.Context) error {
 			if s.cfg.RoutesFunc != nil {
 				entries, epoch = s.cfg.RoutesFunc()
 			}
-			resp := &serviceWire{ID: req.ID, Kind: kindRoutes, Response: true,
-				Routes: entries, Epoch: epoch}
-			if payload, encErr := encodeServiceWire(resp); encErr == nil {
-				out <- serviceOut{to: env.From, payload: payload}
-			}
+			s.reply(ctx, env.From, &serviceWire{ID: req.ID, Kind: kindRoutes, Response: true,
+				Routes: entries, Epoch: epoch})
 			continue
 		}
 		if req.Kind == kindSyncHello || req.Kind == kindSyncState {
@@ -1185,7 +1115,7 @@ func (s *MiningService) Serve(ctx context.Context) error {
 			continue
 		}
 		if isAdminControl(req.Kind) {
-			s.handleAdmin(req, env.From)
+			s.handleAdmin(ctx, req, env.From)
 			continue
 		}
 		// The read lock spans route + dispatch (both non-blocking), so an
@@ -1199,9 +1129,7 @@ func (s *MiningService) Serve(ctx context.Context) error {
 		}
 		s.mu.RUnlock()
 		if reject != nil {
-			if payload, encErr := encodeServiceWire(reject); encErr == nil {
-				out <- serviceOut{to: env.From, payload: payload}
-			}
+			s.reply(ctx, env.From, reject)
 		}
 	}
 }
@@ -1210,19 +1138,14 @@ func (s *MiningService) Serve(ctx context.Context) error {
 // ingest lane, refit loop — onto the shard's own wait groups, so the shard
 // can later be stopped individually (admin evict) or collectively
 // (shutdown). Called at Serve start for constructed shards and by the admin
-// control plane for runtime registrations.
-func (s *MiningService) startShard(sh *modelShard) {
-	out := s.out
+// control plane for runtime registrations; ctx is Serve's.
+func (s *MiningService) startShard(ctx context.Context, sh *modelShard) {
 	for i := 0; i < sh.workers; i++ {
 		sh.workerWg.Add(1)
 		go func() {
 			defer sh.workerWg.Done()
 			for j := range sh.jobs {
-				payload, err := encodeServiceWire(sh.handle(j.req))
-				if err != nil {
-					continue
-				}
-				out <- serviceOut{to: j.from, payload: payload}
+				s.reply(ctx, j.from, sh.handle(j.req))
 			}
 		}()
 	}
@@ -1252,14 +1175,9 @@ func (s *MiningService) startShard(sh *modelShard) {
 			} else {
 				resp = sh.ingest(j.req)
 			}
-			if resp == nil {
-				continue
+			if resp != nil {
+				s.reply(ctx, j.from, resp)
 			}
-			payload, err := encodeServiceWire(resp)
-			if err != nil {
-				continue
-			}
-			out <- serviceOut{to: j.from, payload: payload}
 		}
 	}()
 	sh.refitWg.Add(1)
@@ -1485,13 +1403,9 @@ func (sh *modelShard) refit(job refitJob) bool {
 		}
 		fresh[i] = model
 	}
-	// Publish every view, then fire the swap hooks: a replicator draining
-	// the hooks always observes one consistent fit round.
-	for i, v := range sh.views {
-		m := fresh[i]
-		v.model.Store(&m)
-		v.mRefits.Inc()
-	}
+	// Publish the round with one store, then fire the swap hooks: a
+	// replicator draining the hooks always observes one consistent round.
+	sh.models.Store(&fresh)
 	sh.refitFail.Store(nil)
 	// The fresh fits cover the snapshot's records: retire them from the
 	// staleness gauge, leaving only what streamed in while they were
@@ -1510,38 +1424,46 @@ func (sh *modelShard) refit(job refitJob) bool {
 	return true
 }
 
-// installSync installs one leader-replicated model on a replica shard:
-// decode the blob, check the sequence is newer than the last install, and
-// publish with the same atomic store a local refit would use — prediction
-// workers never block. Stale or duplicate sequences are ignored (idempotent
-// re-delivery), counted under sync.rejects. Called only from the shard's
-// ingest goroutine, which serializes installs. A nil response means the
-// frame was fire-and-forget (ID 0) and expects no answer.
+// installSync installs one leader-replicated fit round on a replica shard:
+// check the sequence is newer than the last install, decode every view's
+// blob before storing any, and publish the round with the same single
+// atomic store a local refit would use — prediction workers never block,
+// and every view advances together or none does. Stale or duplicate
+// sequences are ignored (idempotent re-delivery); a blob count other than
+// the group's view count, or a blob that does not decode, rejects the whole
+// frame (codeBadChunk). Both count under sync.rejects. Called only from the
+// shard's ingest goroutine, which serializes installs. A nil response means
+// the frame was fire-and-forget (ID 0) and expects no answer.
 func (sh *modelShard) installSync(req *serviceWire) *serviceWire {
-	resp := &serviceWire{ID: req.ID, Kind: kindModelSync, Group: req.Group, View: req.View, Response: true}
-	// route() resolved view 0 and verified the view exists.
-	v := sh.viewAt(req.View)
-	if req.Seq <= v.syncSeq.Load() {
-		// Re-delivered or reordered frame: the newer model is already live,
+	resp := &serviceWire{ID: req.ID, Kind: kindModelSync, Group: req.Group, Response: true}
+	if req.Seq <= sh.syncSeq.Load() {
+		// Re-delivered or reordered frame: the newer round is already live,
 		// so this is an idempotent success, not an error.
 		sh.mSyncRejects.Inc()
 		return suppressForSync(req, resp)
 	}
-	model, err := classify.DecodeModel(req.Model)
-	if err != nil {
+	reject := func(msg string) *serviceWire {
 		sh.mSyncRejects.Inc()
-		resp.Code, resp.Err = codeBadChunk, fmt.Sprintf("model sync: %v", err)
+		resp.Code, resp.Err = codeBadChunk, msg
 		return suppressForSync(req, resp)
 	}
-	v.model.Store(&model)
-	v.syncSeq.Store(req.Seq)
-	v.syncCovered.Store(req.Covered)
+	if len(req.Models) != len(sh.views) {
+		return reject(fmt.Sprintf("model sync carries %d models, group %q serves %d views",
+			len(req.Models), sh.id, len(sh.views)))
+	}
+	models := make([]classify.Classifier, len(req.Models))
+	for i, blob := range req.Models {
+		model, err := classify.DecodeModel(blob)
+		if err != nil {
+			return reject(fmt.Sprintf("model sync view %d: %v", sh.views[i].level, err))
+		}
+		models[i] = model
+	}
+	sh.models.Store(&models)
+	sh.syncSeq.Store(req.Seq)
+	sh.syncCovered.Store(req.Covered)
 	sh.mSyncInstalls.Inc()
-	v.mSyncInstalls.Inc()
-	v.mSyncSeq.Set(int64(req.Seq))
-	// The group-level gauge tracks the low-water mark across views, the
-	// same conservative cursor the restart handshake reports.
-	sh.mSyncSeq.Set(int64(sh.minSyncSeq()))
+	sh.mSyncSeq.Set(int64(req.Seq))
 	// An install catches the replica up to the leader's published fit: any
 	// staleness a hello reported is covered now.
 	sh.mStaleness.Set(0)
@@ -1556,8 +1478,8 @@ func (sh *modelShard) handle(req *serviceWire) *serviceWire {
 	sh.mRequests.Inc()
 	sh.mBatchSize.Observe(int64(len(req.Batch)))
 	// route() resolved and stamped the view.
-	view := sh.viewAt(req.View)
-	view.mRequests.Inc()
+	i := sh.viewAt(req.View)
+	sh.views[i].mRequests.Inc()
 	resp := &serviceWire{ID: req.ID, Kind: req.Kind, Group: req.Group, View: req.View, Response: true}
 	if len(req.Batch) == 0 {
 		resp.Code, resp.Err = codeBadQuery, "empty batch"
@@ -1569,7 +1491,7 @@ func (sh *modelShard) handle(req *serviceWire) *serviceWire {
 		return resp
 	}
 	labels := make([]int, len(req.Batch))
-	model := *view.model.Load()
+	model := (*sh.models.Load())[i]
 	for i, rec := range req.Batch {
 		if len(rec) != sh.dim {
 			resp.Code, resp.Err = codeBadQuery,
@@ -1591,8 +1513,8 @@ func (sh *modelShard) handle(req *serviceWire) *serviceWire {
 // update are cheap and answer inline on the receive loop; register (which
 // fits a model) and evict (which drains queues) run on their own goroutine,
 // tracked by adminWg so shutdown waits out their responses. Called only from
-// the receive loop.
-func (s *MiningService) handleAdmin(req *serviceWire, from string) {
+// the receive loop, with Serve's ctx.
+func (s *MiningService) handleAdmin(ctx context.Context, req *serviceWire, from string) {
 	resp := &serviceWire{ID: req.ID, Kind: req.Kind, Group: req.Group, Response: true}
 	if !adminTokenOK(s.cfg.AdminToken, req.Token) {
 		s.mAdminDenied.Inc()
@@ -1602,38 +1524,31 @@ func (s *MiningService) handleAdmin(req *serviceWire, from string) {
 		} else {
 			resp.Err = "bad admin token"
 		}
-		s.respond(req, from, resp)
+		s.reply(ctx, from, resp)
 		return
 	}
 	switch req.Kind {
 	case kindAdminList:
 		s.mAdminLists.Inc()
 		resp.Infos = s.listGroups()
-		s.respond(req, from, resp)
+		s.reply(ctx, from, resp)
 	case kindAdminUpdate:
 		s.adminUpdate(req, resp)
-		s.respond(req, from, resp)
+		s.reply(ctx, from, resp)
 	case kindAdminRegister:
 		s.adminWg.Add(1)
 		go func() {
 			defer s.adminWg.Done()
-			s.adminRegister(req.Spec, resp)
-			s.respond(req, from, resp)
+			s.adminRegister(ctx, req.Spec, resp)
+			s.reply(ctx, from, resp)
 		}()
 	case kindAdminEvict:
 		s.adminWg.Add(1)
 		go func() {
 			defer s.adminWg.Done()
 			s.adminEvict(req.Group, resp)
-			s.respond(req, from, resp)
+			s.reply(ctx, from, resp)
 		}()
-	}
-}
-
-// respond encodes and queues one admin response toward its requester.
-func (s *MiningService) respond(req *serviceWire, to string, resp *serviceWire) {
-	if payload, err := encodeServiceWire(resp); err == nil {
-		s.out <- serviceOut{to: to, payload: payload}
 	}
 }
 
@@ -1641,7 +1556,7 @@ func (s *MiningService) respond(req *serviceWire, to string, resp *serviceWire) 
 // registry lock (the expensive part — the receive loop keeps serving), then
 // insert and start the shard under the write lock. The duplicate pre-check
 // is advisory; the post-fit re-check under the lock is authoritative.
-func (s *MiningService) adminRegister(spec *AdminGroupSpec, resp *serviceWire) {
+func (s *MiningService) adminRegister(ctx context.Context, spec *AdminGroupSpec, resp *serviceWire) {
 	if spec == nil {
 		resp.Code, resp.Err = codeBadQuery, "register without a group spec"
 		return
@@ -1676,7 +1591,7 @@ func (s *MiningService) adminRegister(spec *AdminGroupSpec, resp *serviceWire) {
 	}
 	s.shards[sh.id] = sh
 	s.order = append(s.order, sh.id)
-	s.startShard(sh)
+	s.startShard(ctx, sh)
 	resp.Accepted = sh.training.Len()
 	s.mu.Unlock()
 	s.mAdminRegisters.Inc()

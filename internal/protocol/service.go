@@ -87,11 +87,11 @@ const serviceMagic = 0x53 // 'S'
 // ServiceWireVersion is the service frame version and the only one a peer
 // accepts. Every node runs the same binary, so no older peer exists to stay
 // compatible with: a frame stamped with any other byte — the retired
-// versions 1–9 included — is answered with a typed ErrWireVersion (its ID,
+// versions 1–10 included — is answered with a typed ErrWireVersion (its ID,
 // Kind and Group echoed when the body still decodes), never read under
 // different rules. Bump it whenever the frame layout or the meaning of a
 // field changes.
-const ServiceWireVersion = 10
+const ServiceWireVersion = 11
 
 // Wire error codes carried in service responses, mapped back to the typed
 // errors above by the client.
@@ -136,10 +136,11 @@ const (
 	// is service-wide, so the frame bypasses group routing entirely.
 	kindRoutes
 	// kindModelSync is the leader-to-replica replication frame: after a
-	// successful refit swap, the group's leader streams the encoded fresh
-	// classifier (Model, classify.EncodeModel format, sequenced by Seq) to
-	// each follower, which installs it with the same lock-free atomic
-	// publish refits use. Sent fire-and-forget with ID 0 — the follower
+	// successful refit swap, the group's leader streams the whole fit round —
+	// every view's encoded classifier (Models, classify.EncodeModel format,
+	// sequenced by Seq) — to each follower in one frame, which installs the
+	// views together with the same lock-free atomic publish refits use, or
+	// none of them. Sent fire-and-forget with ID 0 — the follower
 	// sends no response — so a downed follower costs the leader one failed
 	// send, never a stalled wait.
 	kindModelSync
@@ -228,8 +229,7 @@ type serviceWire struct {
 	// View names the trust level the frame addresses within its group
 	// (GroupSpec.Views). On a request, zero routes to the sender's
 	// highest-authorized view; every response echoes the level that served
-	// it. On kindModelSync frames it names the view the blob installs to
-	// (zero: the group's primary view).
+	// it.
 	View int
 	// Batch carries the records, already transformed into the group's
 	// target space by the caller (providers know G_t; the miner never sees
@@ -245,9 +245,10 @@ type serviceWire struct {
 	Accepted int
 	// Routes carries the cluster routing table in a kindRoutes response.
 	Routes []RouteEntry
-	// Model carries an encoded classifier (classify.EncodeModel format) in a
-	// kindModelSync request.
-	Model []byte
+	// Models carries one fit round in a kindModelSync request: every view's
+	// encoded classifier (classify.EncodeModel format), in ascending level
+	// order.
+	Models [][]byte
 	// Seq orders kindModelSync frames per group: a follower installs a sync
 	// only when its Seq exceeds the last installed one, so re-deliveries and
 	// reordered frames are idempotent. Gossip frames carry the sender's
@@ -494,7 +495,7 @@ const DefaultRefitEvery = 256
 const DefaultRefitRetry = 5 * time.Second
 
 // serviceSendTimeout bounds one response write so a peer that stops reading
-// cannot stall the serving loop's sender indefinitely.
+// cannot stall the goroutine answering it indefinitely.
 const serviceSendTimeout = 30 * time.Second
 
 // Defaults applied by Backoff.withDefaults. A full retry budget waits
@@ -625,10 +626,6 @@ func NewGroupServiceClient(conn transport.Conn, miner, group string) (*ServiceCl
 	return c, nil
 }
 
-// Group returns the serving group the client addresses ("" means the
-// service's default group).
-func (c *ServiceClient) Group() string { return c.group }
-
 // SetBackoff replaces the client's busy-retry policy (the zero Backoff
 // restores the defaults; Tries = 1 disables retries so ErrBusy surfaces on
 // the first rejection). Call it before issuing requests — it is not
@@ -642,10 +639,6 @@ func (c *ServiceClient) SetBackoff(b Backoff) { c.backoff = b }
 // admitted to answers ErrNotMember. Call it before issuing requests — it is
 // not synchronized against in-flight calls.
 func (c *ServiceClient) SetView(level int) { c.view = level }
-
-// View returns the trust level the client addresses (0 means the caller's
-// highest-authorized view).
-func (c *ServiceClient) View() int { return c.view }
 
 // WireOptions selects the wire format a ServiceClient sends in.
 type WireOptions struct {
@@ -970,27 +963,27 @@ func responseErr(resp *serviceWire) error {
 	}
 }
 
-// SendModelSync streams one encoded classifier (classify.EncodeModel format)
-// to a follower node as a fire-and-forget kindModelSync frame: ID 0 tells
-// the follower to send no response, so a downed or slow follower costs the
-// sender one failed send, never a blocked wait. seq must increase per group;
-// the follower ignores frames at or below its last installed sequence per
-// view, which makes re-sends and reordering idempotent. view names the trust
-// level the blob installs to (0 installs to the group's primary view).
-// covered is the leader ingest
-// count the model's fit covers, installed alongside it so staleness can be
+// SendModelSync streams one fit round — every view's encoded classifier
+// (classify.EncodeModel format), in ascending level order — to a follower
+// node as one fire-and-forget kindModelSync frame: ID 0 tells the follower
+// to send no response, so a downed or slow follower costs the sender one
+// failed send, never a blocked wait. The follower installs every view or
+// none: a blob count other than its view count, or any blob that does not
+// decode, rejects the whole frame. seq must increase per group; the
+// follower ignores frames at or below its last installed sequence, which
+// makes re-sends and reordering idempotent. covered is the leader ingest
+// count the round's fit covers, installed alongside it so staleness can be
 // measured in records. The cluster layer's replication publisher is the
 // intended caller.
-func SendModelSync(ctx context.Context, conn transport.Conn, to, group string, view int, seq uint64, covered int64, model []byte) error {
+func SendModelSync(ctx context.Context, conn transport.Conn, to, group string, seq uint64, covered int64, models [][]byte) error {
 	if group == "" {
 		return fmt.Errorf("%w: model sync without a group", ErrBadConfig)
 	}
-	if len(model) == 0 {
+	if len(models) == 0 {
 		return fmt.Errorf("%w: model sync without a model", ErrBadConfig)
 	}
 	payload, err := encodeServiceWire(&serviceWire{
-		Kind: kindModelSync, Group: group, View: view, Seq: seq, Covered: covered,
-		Model: model})
+		Kind: kindModelSync, Group: group, Seq: seq, Covered: covered, Models: models})
 	if err != nil {
 		return err
 	}

@@ -370,7 +370,7 @@ func TestMiningServiceOversizedBatchMemHub(t *testing.T) {
 }
 
 // TestServiceWireVersionMismatch sends frames claiming a version other than
-// ServiceWireVersion — every retired byte 1–9 and a future one — and
+// ServiceWireVersion — every retired byte 1–10 and a future one — and
 // expects a typed rejection echoing the request ID rather than silence, a
 // crash or a frame read under different rules.
 func TestServiceWireVersionMismatch(t *testing.T) {
@@ -385,7 +385,7 @@ func TestServiceWireVersionMismatch(t *testing.T) {
 	defer stop()
 
 	ctx := testCtx(t)
-	for _, version := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 99} {
+	for _, version := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 99} {
 		id := 100 + uint64(version)
 		payload, err := encodeServiceWire(&serviceWire{ID: id, Batch: [][]float64{{0.1}}})
 		if err != nil {

@@ -149,12 +149,12 @@ func TestModelSyncPayloadReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := encodeServiceWire(&serviceWire{
-		Kind: kindModelSync, Group: "alpha", Seq: 1, Model: plainBlob})
+		Kind: kindModelSync, Group: "alpha", Seq: 1, Models: [][]byte{plainBlob}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	packed, err := encodeServiceWire(&serviceWire{
-		Kind: kindModelSync, Group: "alpha", Seq: 1, Model: packedBlob})
+		Kind: kindModelSync, Group: "alpha", Seq: 1, Models: [][]byte{packedBlob}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestModelSyncPayloadReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := classify.DecodeModel(w.Model)
+	decoded, err := classify.DecodeModel(w.Models[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,20 +45,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased (n-1) variance estimate.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -127,29 +113,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 
 // Median returns the 0.5 quantile.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Kurtosis returns the excess kurtosis of xs; 0 for Gaussian data. Used by
-// the FastICA attack as its non-Gaussianity contrast.
-func Kurtosis(xs []float64) float64 {
-	if len(xs) < 4 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	n := float64(len(xs))
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
 
 // Covariance returns the population covariance of two equal-length samples.
 func Covariance(xs, ys []float64) (float64, error) {

@@ -43,13 +43,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEqual(got, 2.5, 1e-12) {
-		t.Errorf("SampleVariance = %v, want 2.5", got)
-	}
-}
-
 func TestMinMaxRange(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	mn, err := Min(xs)
@@ -106,32 +99,6 @@ func TestMedian(t *testing.T) {
 	got, err := Median([]float64{5, 1, 3})
 	if err != nil || got != 3 {
 		t.Errorf("Median = %v, %v; want 3, nil", got, err)
-	}
-}
-
-func TestKurtosis(t *testing.T) {
-	// Gaussian sample: excess kurtosis near 0.
-	rng := rand.New(rand.NewSource(1))
-	gauss := make([]float64, 20000)
-	for i := range gauss {
-		gauss[i] = rng.NormFloat64()
-	}
-	if k := Kurtosis(gauss); math.Abs(k) > 0.15 {
-		t.Errorf("Gaussian kurtosis = %v, want ~0", k)
-	}
-	// Uniform: excess kurtosis -1.2.
-	unif := make([]float64, 20000)
-	for i := range unif {
-		unif[i] = rng.Float64()
-	}
-	if k := Kurtosis(unif); math.Abs(k+1.2) > 0.15 {
-		t.Errorf("Uniform kurtosis = %v, want ~-1.2", k)
-	}
-	if k := Kurtosis([]float64{1, 2}); k != 0 {
-		t.Errorf("Kurtosis(short) = %v, want 0", k)
-	}
-	if k := Kurtosis([]float64{3, 3, 3, 3, 3}); k != 0 {
-		t.Errorf("Kurtosis(constant) = %v, want 0", k)
 	}
 }
 

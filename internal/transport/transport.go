@@ -33,7 +33,8 @@ type Conn interface {
 	// Name returns the endpoint's registered name.
 	Name() string
 	// Send delivers payload to the named endpoint. The payload is copied;
-	// the caller may reuse the buffer.
+	// the caller may reuse the buffer. Send is safe for concurrent use:
+	// frames from concurrent senders never interleave.
 	Send(ctx context.Context, to string, payload []byte) error
 	// Recv blocks for the next message, honoring ctx cancellation.
 	Recv(ctx context.Context) (Envelope, error)
